@@ -25,17 +25,19 @@ import numpy as np
 
 from ._optimize import refine_extremum
 from .bands import default_grid
-from .errors import ConfigError, CriterionViolation
+from .errors import ConfigError, CriterionViolation, NumericalError
 from .jacobi import cos_node, sin_node
 from .lattice import RibbonParams
 
 
-def weak_field_center(a: float, params: RibbonParams) -> float:
+def weak_field_center(a, params: RibbonParams):
     """First-order central band value: sum v_{2k+1} a^{2k} / sum a^{2k}.
 
-    Both polynomials are evaluated by Horner in z = a^2.
+    Both polynomials are evaluated by Horner in z = a^2, elementwise when
+    a is an array.
     """
-    if not 0.0 <= a <= 2.0:
+    a = np.asarray(a, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 2.0)):
         raise ConfigError(f"a={a} outside [0, 2]")
     z = a * a
     odd = params.v[0::2]  # v_1, v_3, ..., v_p
@@ -96,14 +98,11 @@ class WeakFieldPrediction:
 def weak_field_edges(params: RibbonParams, grid=None) -> WeakFieldPrediction:
     """Extrema of the first-order central band over [0,2] (grid + golden)."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    samples = np.array([weak_field_center(a, params) for a in grid])
-
-    def f(a: float) -> float:
-        return weak_field_center(a, params)
-
-    _, lo = refine_extremum(f, grid, samples, "min")
-    _, hi = refine_extremum(f, grid, samples, "max")
-    return WeakFieldPrediction(F_samples=samples, lo=lo, hi=hi)
+    samples = weak_field_center(grid, params)
+    _, fx = refine_extremum(lambda _, a: weak_field_center(a, params),
+                            grid, samples[:, None])
+    return WeakFieldPrediction(F_samples=samples, lo=float(fx[0, 0]),
+                               hi=float(fx[1, 0]))
 
 
 def first_order_lower_edge(k: int, params: RibbonParams) -> float:
@@ -152,13 +151,17 @@ def first_order_upper_edge(k: int, params: RibbonParams) -> float:
         chi[2 * n] = (sin_node(n * ak, N) - 2.0 * sin_node((n + 1) * ak, N)) ** 2 / denom
     for n in range(1, N + 1):
         chi[2 * n - 1] = sin_node(n * ak, N) ** 2
-    total = float(chi @ v)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> raised below
+        total = float(chi @ v)
     if abs(float(np.sum(chi)) - (N + 1)) > 1e-9 * (N + 1):
-        raise RuntimeError(
+        raise NumericalError(
             "edge-weight normalization drifted; first-order formula unusable"
         )
     lead = math.sqrt(denom) * math.copysign(1.0, k)
-    return lead + total / (N + 1)
+    edge = lead + total / (N + 1)
+    if not math.isfinite(edge):
+        raise NumericalError(f"first-order edge of band k={k} is not finite")
+    return edge
 
 
 def constant_field(N: int, eps: float) -> tuple[float, float, float]:

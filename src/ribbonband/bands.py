@@ -3,9 +3,11 @@
 Band k (k = -N..N) is the k-th eigenvalue branch a -> lambda_k(J_a),
 a in [0, 2]; its band interval sigma_k is the range of that continuous
 function, the spectrum of the full ribbon operator being the union of
-the sigma_k.  Extrema are located by a grid scan plus golden-section
-refinement.  The zero-potential spectrum has a closed form, used both
-as public API and as the regression pin for the generic path.
+the sigma_k.  Extrema are located by one grid scan of the requested
+bands followed by one golden-section search that refines every band's
+minimum and maximum together, each step a single batched bisection.  The
+zero-potential spectrum has a closed form, used both as public API and as
+the regression pin for the generic path.
 """
 
 from __future__ import annotations
@@ -43,25 +45,33 @@ def band_function(k: int, params: RibbonParams, grid=None) -> np.ndarray:
     return eigenvalues_batch(params, grid, indices=[k + N])[:, 0]
 
 
-def _band_eval(k: int, params: RibbonParams):
-    idx = [k + params.N]
+def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
+    """One grid scan of the given eigenvalue indices, then one batched
+    golden refinement of each index's minimum and maximum.
 
-    def f(a: float) -> float:
-        return float(eigenvalues_batch(params, [a], indices=idx)[0, 0])
+    Returns (grid, values, x, fx) with values[i, j] = eigenvalue
+    indices[j] at grid[i] and x/fx as in refine_extremum.
+    """
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    indices = np.asarray(indices)
+    values = eigenvalues_batch(params, grid, indices=indices)
 
-    return f
+    def f(cols, a):
+        return eigenvalues_batch(params, a, indices=indices[cols, None])[:, 0]
+
+    x, fx = refine_extremum(f, grid, values, xtol)
+    return grid, values, x, fx
 
 
 def band_interval(
     k: int, params: RibbonParams, grid=None, xtol: float = A_RESOLUTION
 ) -> tuple[float, float]:
     """(min, max) of lambda_k over a in [0,2]: grid scan + golden refinement."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    samples = band_function(k, params, grid)
-    f = _band_eval(k, params)
-    _, lo = refine_extremum(f, grid, samples, "min", xtol)
-    _, hi = refine_extremum(f, grid, samples, "max", xtol)
-    return lo, hi
+    N = params.N
+    if not -N <= k <= N:
+        raise ConfigError(f"band index k={k} outside -{N}..{N}")
+    _, _, _, fx = _scan_and_refine(params, grid, xtol, [k + N])
+    return float(fx[0, 0]), float(fx[1, 0])
 
 
 @dataclass(frozen=True)
@@ -83,20 +93,13 @@ class BandTable:
 
 def band_table(params: RibbonParams, grid=None, xtol: float = A_RESOLUTION) -> BandTable:
     """Sample all bands on the grid and refine each band's extrema."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    values = eigenvalues_batch(params, grid)
-    extrema = []
-    for k in range(-params.N, params.N + 1):
-        f = _band_eval(k, params)
-        col = values[:, k + params.N]
-        extrema.append(
-            (
-                refine_extremum(f, grid, col, "min", xtol),
-                refine_extremum(f, grid, col, "max", xtol),
-            )
-        )
+    grid, values, x, fx = _scan_and_refine(params, grid, xtol, np.arange(params.p))
+    extrema = tuple(
+        ((float(x[0, j]), float(fx[0, j])), (float(x[1, j]), float(fx[1, j])))
+        for j in range(params.p)
+    )
     return BandTable(params=params, grid=grid, values=values,
-                     refined_extrema=tuple(extrema))
+                     refined_extrema=extrema)
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,8 @@ def spectrum_report(
     elif flat_tol <= 0:
         raise ConfigError(f"flat_tol must be positive, got {flat_tol}")
     rows = []
-    for k in range(-params.N, params.N + 1):
-        lo, hi = band_interval(k, params, grid)
-        rows.append((k, lo, hi, hi - lo <= flat_tol))
+    for j, ((_, lo), (_, hi)) in enumerate(band_table(params, grid).refined_extrema):
+        rows.append((j - params.N, lo, hi, hi - lo <= flat_tol))
     return _report_from_intervals(rows)
 
 

@@ -56,6 +56,8 @@ from .oracle import compare_multisets, periodic_ribbon_spectrum
 def fmt15(x: float) -> str:
     """15 significant digits; fixed notation for |x| >= 1e-4 (and 0)."""
     x = float(x)
+    if not math.isfinite(x):
+        raise NumericalError(f"non-finite result {x}")
     if x == 0.0:
         return "0.00000000000000"
     ax = abs(x)
@@ -350,9 +352,9 @@ def _asy_weak(config: RunConfig) -> str:
 
     def edge_err(s: float) -> float:
         sp = RibbonParams(params.N, s * base)
-        plo, phi = weak_field_edges(sp).lo, weak_field_edges(sp).hi
+        pred = weak_field_edges(sp)
         lo, hi = band_interval(0, sp)
-        return max(abs(plo - lo), abs(phi - hi))
+        return max(abs(pred.lo - lo), abs(pred.hi - hi))
 
     est = order_check(edge_err, 1.0, 3)
     slope = "" if est.exact else fmt15(est.slope)
@@ -363,7 +365,7 @@ def _asy_weak(config: RunConfig) -> str:
 def _asy_edges(config: RunConfig) -> str:
     params = config.params
     N = params.N
-    rows = [_ASY_HEADER]
+    predicted = {}
     for k in [k for k in range(-N, N + 1) if k != 0]:
         inner = (
             first_order_lower_edge(k, params)
@@ -372,8 +374,12 @@ def _asy_edges(config: RunConfig) -> str:
         )
         outer = first_order_upper_edge(k, params)
         # the a~c_k extremum is the lower endpoint for k > 0, upper for k < 0
-        plo, phi = (inner, outer) if k > 0 else (outer, inner)
-        mlo, mhi = band_interval(k, params)
+        predicted[k] = (inner, outer) if k > 0 else (outer, inner)
+    # measured after the predictions, which reject overflowing potentials
+    measured = spectrum_report(params).bands
+    rows = [_ASY_HEADER]
+    for k, (plo, phi) in predicted.items():
+        _, mlo, mhi, _ = measured[k + N]
         rows.append(_asy_row(k, plo, phi, mlo, mhi))
     return "\n".join(rows) + "\n"
 
@@ -402,12 +408,7 @@ def _asy_strong(config: RunConfig) -> str:
     est = strong_field(params, config.t)
     scaled = RibbonParams(params.N, config.t * params.v)
     rows = [_ASY_HEADER]
-    mlos, mhis = [], []
-    for site in range(1, params.p + 1):
-        k = site - 1 - params.N
-        mlo, mhi = band_interval(k, scaled)
-        mlos.append(mlo)
-        mhis.append(mhi)
+    for site, (_, mlo, mhi, _) in enumerate(spectrum_report(scaled).bands, 1):
         plo, phi = est.bands[site - 1]
         rows.append(_asy_row(site, plo, phi, mlo, mhi))
 
@@ -418,10 +419,8 @@ def _asy_strong(config: RunConfig) -> str:
         es = strong_field(params, t)
         sc = RibbonParams(params.N, t * params.v)
         worst = 0.0
-        for site in range(1, params.p + 1):
-            lo, hi = band_interval(site - 1 - params.N, sc)
-            worst = max(worst, abs(lo - es.bands[site - 1][0]),
-                        abs(hi - es.bands[site - 1][1]))
+        for (_, lo, hi, _), (plo, phi) in zip(spectrum_report(sc).bands, es.bands):
+            worst = max(worst, abs(lo - plo), abs(hi - phi))
         return worst
 
     est_order = order_check(edge_err, 1.0, 3)
@@ -526,7 +525,7 @@ def cmd_verify(config: RunConfig, offdiag_corruption: float = 0.0) -> tuple[bool
     def center_err(eps: float) -> float:
         sp = RibbonParams(N, eps * w)
         lam0 = eigenvalues_batch(sp, agrid, indices=[N])[:, 0]
-        F = np.array([weak_field_center(a, sp) for a in agrid])
+        F = weak_field_center(agrid, sp)
         return float(np.max(np.abs(lam0 - F)))
 
     est = order_check(center_err, 1e-2, 3)

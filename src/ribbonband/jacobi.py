@@ -89,6 +89,9 @@ def _sturm_counts_batch(diag: np.ndarray, bsq: np.ndarray, x: np.ndarray) -> np.
 
     Zero pivots are pushed to -pivmin (counts the eigenvalue), the standard
     bisection-safe convention; overflow through 1/d is harmless for counting.
+    pivmin is the batch's largest, so a row counts exactly as it would
+    alone unless one of its pivots lands between its own pivmin and the
+    batch's (both at most 4e-290).
     """
     p = diag.shape[0]
     pivmin = 1e-290 * max(1.0, float(np.max(bsq, initial=0.0)))
@@ -108,10 +111,11 @@ def _bisect_eigenvalues(
 ) -> np.ndarray:
     """Core bisection on inertia counts: bsq is (A, p-1), one row per matrix.
 
-    Returns shape (A, len(indices)); indices default to all p (ascending).
-    Each value is within tol*max(1, Gershgorin radius) of the true
-    eigenvalue of its index.  Raises NumericalError when tol is below what
-    bisection can resolve or the iteration cap is hit.
+    Returns shape (A, m).  indices default to all p (ascending); a 1-D
+    list of m indices is shared by every row, and a 2-D (A, m) array gives
+    each row its own.  Each value is within tol*max(1, Gershgorin radius)
+    of the true eigenvalue of its index.  Raises NumericalError when tol is
+    below what bisection can resolve or the iteration cap is hit.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -119,7 +123,9 @@ def _bisect_eigenvalues(
     idx = np.arange(p) if indices is None else np.atleast_1d(np.asarray(indices, dtype=np.int64))
     if np.any((idx < 0) | (idx >= p)):
         raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
-    A, m = bsq.shape[0], idx.shape[0]
+    A, m = bsq.shape[0], idx.shape[-1]
+    if idx.ndim > 2 or (idx.ndim == 2 and idx.shape[0] != A):
+        raise ConfigError(f"indices must be 1-D or ({A}, m), got shape {idx.shape}")
 
     babs = np.sqrt(bsq)
     radius = np.zeros((A, p))
@@ -131,7 +137,7 @@ def _bisect_eigenvalues(
 
     lo = np.broadcast_to(glo[:, None], (A, m)).copy()
     hi = np.broadcast_to(ghi[:, None], (A, m)).copy()
-    want = idx[None, :] + 1  # bisect on count(x) >= index+1
+    want = (idx if idx.ndim == 2 else idx[None, :]) + 1  # bisect on count(x) >= index+1
     tol_abs = tol * scale[:, None]
 
     for _ in range(BISECTION_CAP):
@@ -164,10 +170,11 @@ def eigenvalues_batch(
     """Eigenvalues of J_a for every a in a_values, by Sturm bisection.
 
     One call vectorizes over both the a grid and the requested eigenvalue
-    indices; returns shape (len(a_values), len(indices)).
+    indices; returns shape (len(a_values), len(indices)).  A 2-D
+    (len(a_values), m) indices array picks each row's own indices.
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
-    if np.any((a_values < 0) | (a_values > 2)):
+    if not np.all((a_values >= 0) & (a_values <= 2)):
         raise ConfigError("a values must lie in [0, 2]")
     p = params.p
     bsq = np.empty((a_values.shape[0], p - 1))

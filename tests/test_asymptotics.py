@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ribbonband import (
     ConfigError,
     CriterionViolation,
+    NumericalError,
     RibbonParams,
     band_interval,
     constant_field,
@@ -169,6 +170,8 @@ def test_upper_edge_rejects_out_of_range():
         first_order_upper_edge(0, params)
     with pytest.raises((CriterionViolation, ConfigError)):
         first_order_upper_edge(3, params)
+    with pytest.raises(NumericalError):  # overflows to inf
+        first_order_upper_edge(1, RibbonParams(N=1, v=np.full(3, 1e308)))
 
 
 def test_edges_match_measured_bands_to_second_order():

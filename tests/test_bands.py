@@ -16,10 +16,48 @@ from ribbonband import (
     band_table,
     default_grid,
     flat_band_criterion,
+    eigenvalues_batch,
     spectrum_report,
     unperturbed_eigenvalue,
     unperturbed_spectrum,
 )
+from ribbonband._optimize import refine_extremum
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min_scalar(f, lo, hi, xtol):
+    """One bracket at a time: the arithmetic the batched search must repeat."""
+    if hi < lo:
+        lo, hi = hi, lo
+    if hi - lo <= xtol:
+        x = 0.5 * (lo + hi)
+        return x, f(x)
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xtol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def _refine_scalar(f, grid, col, sign, xtol=1e-10):
+    """(x, f(x)) of the minimum (sign +1) or maximum (sign -1) of one column."""
+    signed = sign * np.asarray(col)
+    i = int(np.argmin(signed))
+    x, fx = _golden_min_scalar(lambda a: sign * f(a), float(grid[max(i - 1, 0)]),
+                               float(grid[min(i + 1, len(grid) - 1)]), xtol)
+    if signed[i] < fx:
+        return float(grid[i]), float(col[i])
+    return x, sign * fx
 
 
 def test_default_grid_covers_parameter_range():
@@ -169,3 +207,103 @@ def test_monotone_band_ordering_random_potential():
 def test_spectrum_report_flat_tol_validation():
     with pytest.raises(ConfigError):
         spectrum_report(RibbonParams(N=1), flat_tol=-1.0)
+
+
+def test_refine_extremum_batched_equals_scalar_search():
+    funcs = [
+        lambda a: (a - 0.7) ** 2,  # interior minimum, maximum at a = 2
+        lambda a: -a,              # both extrema at the ends
+        lambda a: np.cos(3.0 * a),  # interior minimum pi/3, maximum at a = 0
+    ]
+    calls = []
+
+    def f(cols, x):
+        calls.append(len(x))
+        return np.array([funcs[c](xi) for c, xi in zip(cols, x)])
+
+    grid = np.linspace(0.0, 2.0, 11)
+    values = np.column_stack([[g(a) for a in grid] for g in funcs])
+    x, fx = refine_extremum(f, grid, values)
+    assert x.shape == fx.shape == (2, 3)
+    assert abs(x[0, 0] - 0.7) < 1e-9 and fx[0, 0] < 1e-18
+    # f is flat to rounding within ~1e-8 of pi/3, which bounds x there
+    assert abs(x[0, 2] - math.pi / 3) < 1e-7 and fx[0, 2] == pytest.approx(-1.0, abs=1e-15)
+    # an end sample beats every interior point, so it is kept exactly
+    assert (x[1, 0], fx[1, 0]) == (2.0, values[-1, 0])
+    assert (x[0, 1], x[1, 1]) == (2.0, 0.0)
+    assert x[1, 2] < 1e-10 and fx[1, 2] == 1.0
+    # one evaluation per live bracket and step, no more
+    assert max(calls) == 2 * 6 and len(calls) < 60
+    for j, g in enumerate(funcs):
+        for row, sign in ((0, 1.0), (1, -1.0)):
+            assert (x[row, j], fx[row, j]) == _refine_scalar(g, grid, values[:, j], sign)
+
+
+def test_refine_extremum_degenerate_bracket_collapses_to_midpoint():
+    # cells below xtol: no search, one evaluation at the bracket midpoint
+    grid = np.array([0.0, 5e-11, 9e-11])
+    calls = []
+
+    def f(cols, x):
+        calls.append(len(x))
+        return (x - 3e-11) ** 2
+
+    x, fx = refine_extremum(f, grid, ((grid - 3e-11) ** 2)[:, None])
+    assert calls == [2]
+    assert x[0, 0] == 0.5 * (0.0 + 9e-11) and fx[0, 0] == (x[0, 0] - 3e-11) ** 2
+    assert (x[1, 0], fx[1, 0]) == (9e-11, (9e-11 - 3e-11) ** 2)  # sample kept
+
+
+def test_band_table_extrema_equal_scalar_refinement_bitwise():
+    rng = np.random.default_rng(4)
+    grid = np.linspace(0.0, 2.0, 41)
+    for N in (1, 2):
+        v = rng.uniform(-1.0, 1.0, 2 * N + 1)
+        if N == 2:
+            v[0::2] = v[0]  # flat central band
+        params = RibbonParams(N=N, v=v)
+        table = band_table(params, grid)
+        for j in range(params.p):
+            def f(a, j=j):
+                return float(eigenvalues_batch(params, [a], indices=[j])[0, 0])
+
+            col = table.values[:, j]
+            assert table.refined_extrema[j] == (
+                _refine_scalar(f, grid, col, 1.0), _refine_scalar(f, grid, col, -1.0)
+            )
+
+
+def _dense_scan_extrema(params, points=20001):
+    a = np.linspace(0.0, 2.0, points)
+    p = params.p
+    J = np.zeros((points, p, p))
+    J[:, np.arange(p), np.arange(p)] = params.v
+    off = np.tile(np.where(np.arange(p - 1) % 2 == 0, 1.0, 0.0), (points, 1))
+    off = off * a[:, None] + (1.0 - off)  # (a, 1, a, 1, ...)
+    J[:, np.arange(p - 1), np.arange(1, p)] = off
+    J[:, np.arange(1, p), np.arange(p - 1)] = off
+    lam = np.linalg.eigvalsh(J)
+    return lam.min(axis=0), lam.max(axis=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 3),
+    scale=st.floats(1e-4, 3.0),
+    shape=st.sampled_from(["random", "equal-pairs", "equal-blocks", "rounded"]),
+)
+def test_report_edges_at_least_as_extreme_as_dense_scan(seed, N, scale, shape):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, 2 * N + 1)
+    if shape == "equal-pairs":  # each a = 0 block [[x, 1], [1, x]]
+        v[2::2] = v[1::2]
+    elif shape == "equal-blocks":  # repeated a = 0 eigenvalues
+        v[1:] = np.tile(v[1:3], N)
+    elif shape == "rounded":
+        v = np.round(v, 1)
+    params = RibbonParams(N=N, v=scale * v)
+    lo_scan, hi_scan = _dense_scan_extrema(params)
+    tol = 1e-9 * max(1.0, scale)
+    for (_, lo, hi, _), m, M in zip(spectrum_report(params).bands, lo_scan, hi_scan):
+        assert lo <= m + tol and hi >= M - tol

@@ -28,6 +28,9 @@ def test_fmt15_fixed_and_scientific():
     assert fmt15(0.0001) == "0.000100000000000000"
     # deterministic: same value, same string
     assert fmt15(np.float64(1) / 3) == fmt15(1 / 3)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(NumericalError):
+            fmt15(bad)
 
 
 def test_resolve_potential_named_forms():
@@ -277,6 +280,14 @@ def test_numerical_error_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "cmd_bands", boom)
     code, _, err = run(["bands", "--N", "1"], capsys)
+    assert code == 3
+    assert "numerical error" in err
+
+
+def test_overflowing_potential_exits_3(capsys):
+    # the first-order edges overflow to inf: main reports it, not raises
+    code, _, err = run(["asymptotics", "--N", "1", "--mode", "edges",
+                        "--potential=1e308,1e308,1e308"], capsys)
     assert code == 3
     assert "numerical error" in err
 

@@ -105,6 +105,30 @@ def test_eigenvalues_batch_index_selection():
         eigenvalues_batch(params, [2.5])
 
 
+def test_eigenvalues_batch_rejects_nan():
+    for a in ([np.nan], [0.5, np.nan]):
+        with pytest.raises(ConfigError):
+            eigenvalues_batch(RibbonParams(N=1), a)
+
+
+def test_eigenvalues_batch_rows_match_single_solves_bitwise():
+    # each row, with shared or per-row (2-D) indices, is bit for bit the
+    # solve of that row alone; the zero potential has exact zero pivots
+    a = np.array([0.0, 0.3, 1.0, 1.7, 2.0, 0.3])
+    idx = np.array([0, 4, 2, 1, 3, 3])
+    for v in (np.zeros(5), np.array([0.2, -0.3, 0.5, 0.1, -0.4])):
+        params = RibbonParams(N=2, v=v)
+        shared = eigenvalues_batch(params, a)
+        per_row = eigenvalues_batch(params, a, indices=idx[:, None])
+        assert per_row.shape == (6, 1)
+        for r in range(6):
+            single = eigenvalues_batch(params, [a[r]])[0]
+            np.testing.assert_array_equal(shared[r], single)
+            assert per_row[r, 0] == single[idx[r]]
+    with pytest.raises(ConfigError):
+        eigenvalues_batch(params, a, indices=idx[:3, None])
+
+
 def test_decoupled_limit_matches_general_path():
     v = np.array([0.3, 1.0, -0.5, 0.2, 0.8])
     params = RibbonParams(N=2, v=v)
