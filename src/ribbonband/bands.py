@@ -5,9 +5,10 @@ a in [0, 2]; its band interval sigma_k is the range of that continuous
 function, the spectrum of the full ribbon operator being the union of
 the sigma_k.  Extrema are located by one grid scan of the requested
 bands followed by one golden-section search that refines every band's
-minimum and maximum together, each step a single batched bisection.  The
-zero-potential spectrum has a closed form, used both as public API and as
-the regression pin for the generic path.
+minimum and maximum together, each step a single batched LAPACK eigensolve
+with one (a, band) pair per row.  The zero-potential spectrum has a closed
+form, used both as public API and as the regression pin for the generic
+path.
 """
 
 from __future__ import annotations
@@ -126,21 +127,26 @@ def flat_band_criterion(params: RibbonParams) -> bool:
     return bool(np.all(odd == params.v[0]))
 
 
-def _report_from_intervals(bands) -> SpectrumReport:
-    """Gaps and multiplicity windows from finished (k, lo, hi, is_flat) rows."""
+def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
+    """Gaps and multiplicity windows from finished (k, lo, hi, is_flat) rows.
+
+    An edge within edge_tol of the previous kept edge is the same point, so
+    band edges that agree up to rounding open no sliver window.
+    """
     solid = [(lo, hi) for (_, lo, hi, is_flat) in bands if not is_flat]
     if not solid:
         return SpectrumReport(bands=tuple(bands), gaps=(),
                               multiplicity_windows=())
     hull_lo = min(lo for lo, _ in solid)
     hull_hi = max(hi for _, hi in solid)
-    edges = sorted({x for iv in solid for x in iv})
+    edges = []
+    for x in sorted({x for iv in solid for x in iv}):
+        if not edges or x - edges[-1] > edge_tol:
+            edges.append(x)
     gaps = []
     windows = []
     for x1, x2 in zip(edges[:-1], edges[1:]):
-        if x2 <= x1:
-            continue
-        mid = 0.5 * (x1 + x2)
+        mid = 0.5 * x1 + 0.5 * x2
         count = sum(1 for lo, hi in solid if lo <= mid <= hi)
         if count == 0:
             if hull_lo < mid < hull_hi:
@@ -168,7 +174,7 @@ def spectrum_report(
     rows = []
     for j, ((_, lo), (_, hi)) in enumerate(band_table(params, grid).refined_extrema):
         rows.append((j - params.N, lo, hi, hi - lo <= flat_tol))
-    return _report_from_intervals(rows)
+    return _report_from_intervals(rows, flat_tol)
 
 
 def unperturbed_spectrum(N: int) -> SpectrumReport:

@@ -6,8 +6,9 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 (a, 1, a, 1, ..., a, 1).  This module owns:
 
   * construction of J_a and the t -> a map,
-  * eigenvalues via Sturm-count bisection (vectorized over grid points
-    and eigenvalue indices; no library eigensolver),
+  * eigenvalues: closed form for the decoupled a = 0 blocks, LAPACK
+    (numpy.linalg.eigvalsh) on dense stacks of J_a otherwise, one kernel
+    for single matrices and whole a grids; Sturm inertia counts,
   * transfer matrices, monodromy, fundamental solutions of the
     three-term recursion, and the cleared-denominator characteristic
     polynomial (regular at a = 0),
@@ -24,8 +25,7 @@ import numpy as np
 from .errors import ConfigError, CriterionViolation, NumericalError
 from .lattice import RibbonParams
 
-BISECTION_CAP = 200  # iterations; ~60 suffice for tol=1e-12 on [0,2] spectra
-DEFAULT_TOL = 1e-12
+_STACK_ENTRIES = 1 << 16  # float64 entries per LAPACK stack (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def jacobi_matrix(params: RibbonParams, a: float) -> JacobiMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sturm-count bisection eigensolver
+# Eigenvalues: LAPACK on dense stacks, closed form at a = 0; Sturm counts
 # ---------------------------------------------------------------------------
 
 def sturm_count(J: JacobiMatrix, x: float) -> int:
@@ -106,109 +106,99 @@ def _sturm_counts_batch(diag: np.ndarray, bsq: np.ndarray, x: np.ndarray) -> np.
     return count
 
 
-def _bisect_eigenvalues(
-    diag: np.ndarray, bsq: np.ndarray, tol: float, indices=None
-) -> np.ndarray:
-    """Core bisection on inertia counts: bsq is (A, p-1), one row per matrix.
-
-    Returns shape (A, m).  indices default to all p (ascending); a 1-D
-    list of m indices is shared by every row, and a 2-D (A, m) array gives
-    each row its own.  Each value is within tol*max(1, Gershgorin radius)
-    of the true eigenvalue of its index.  Raises NumericalError when tol is
-    below what bisection can resolve or the iteration cap is hit.
-    """
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+def _tridiagonal_stack(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense (rows, p, p) stack: diagonal diag in every matrix, off[r] on
+    the off-diagonals of matrix r."""
     p = diag.shape[0]
-    idx = np.arange(p) if indices is None else np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if np.any((idx < 0) | (idx >= p)):
-        raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
-    A, m = bsq.shape[0], idx.shape[-1]
-    if idx.ndim > 2 or (idx.ndim == 2 and idx.shape[0] != A):
-        raise ConfigError(f"indices must be 1-D or ({A}, m), got shape {idx.shape}")
-
-    babs = np.sqrt(bsq)
-    radius = np.zeros((A, p))
-    radius[:, :-1] += babs
-    radius[:, 1:] += babs
-    glo = np.min(diag[None, :] - radius, axis=1)
-    ghi = np.max(diag[None, :] + radius, axis=1)
-    scale = np.maximum(1.0, np.maximum(np.abs(glo), np.abs(ghi)))
-
-    lo = np.broadcast_to(glo[:, None], (A, m)).copy()
-    hi = np.broadcast_to(ghi[:, None], (A, m)).copy()
-    want = (idx if idx.ndim == 2 else idx[None, :]) + 1  # bisect on count(x) >= index+1
-    tol_abs = tol * scale[:, None]
-
-    for _ in range(BISECTION_CAP):
-        active = (hi - lo) > tol_abs
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        stuck = active & ((mid <= lo) | (mid >= hi))
-        if stuck.any():
-            raise NumericalError(
-                f"bisection cannot resolve tol={tol:g} (below machine resolution)"
-            )
-        counts = _sturm_counts_batch(diag, bsq, mid)
-        go_left = counts >= want
-        hi = np.where(active & go_left, mid, hi)
-        lo = np.where(active & ~go_left, mid, lo)
-    else:
-        raise NumericalError(
-            f"bisection iteration cap {BISECTION_CAP} hit at tol={tol:g}"
-        )
-    return 0.5 * (lo + hi)
+    i = np.arange(p)
+    M = np.zeros((off.shape[0], p, p))
+    M[:, i, i] = diag
+    M[:, i[:-1], i[1:]] = off
+    M[:, i[1:], i[:-1]] = off
+    return M
 
 
-def eigenvalues_batch(
-    params: RibbonParams,
-    a_values,
-    tol: float = DEFAULT_TOL,
-    indices=None,
-) -> np.ndarray:
-    """Eigenvalues of J_a for every a in a_values, by Sturm bisection.
+def _eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All eigenvalues of each tridiagonal matrix (diag, off[r]), (rows, p).
 
-    One call vectorizes over both the a grid and the requested eigenvalue
-    indices; returns shape (len(a_values), len(indices)).  A 2-D
-    (len(a_values), m) indices array picks each row's own indices.
+    Rows whose off-diagonals are exactly the a = 0 pattern take the closed
+    form (exact multiplicities); the rest go to LAPACK
+    (numpy.linalg.eigvalsh) in dense stacks of at most _STACK_ENTRIES
+    entries.  Each matrix is solved on its own, so a row's values do not
+    depend on the rows beside it.  Raises NumericalError on a non-finite
+    eigenvalue or a failed solve.
+    """
+    p = diag.shape[0]
+    out = np.empty((off.shape[0], p))
+    decoupled = np.all(off == offdiag_pattern(p, 0.0), axis=1)
+    if decoupled.any():
+        out[decoupled] = decoupled_eigenvalues(RibbonParams(N=(p - 1) // 2, v=diag))
+    general = np.flatnonzero(~decoupled)
+    step = max(1, _STACK_ENTRIES // (p * p))
+    for s in range(0, general.size, step):
+        r = general[s : s + step]
+        try:
+            out[r] = np.linalg.eigvalsh(_tridiagonal_stack(diag, off[r]))
+        except np.linalg.LinAlgError as exc:  # NaN entries
+            raise NumericalError(f"LAPACK eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
+    return out
+
+
+def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.ndarray:
+    """Eigenvalues of J_a for every a in a_values, ascending in each row.
+
+    Returns shape (len(a_values), p); with indices, a 1-D list of m indices
+    is shared by every row and a 2-D (len(a_values), m) array picks each
+    row's own, giving (len(a_values), m).
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if not np.all((a_values >= 0) & (a_values <= 2)):
         raise ConfigError("a values must lie in [0, 2]")
-    p = params.p
-    bsq = np.empty((a_values.shape[0], p - 1))
-    bsq[:, 0::2] = (a_values**2)[:, None]
-    bsq[:, 1::2] = 1.0
-    return _bisect_eigenvalues(params.v, bsq, tol, indices)
+    p, A = params.p, a_values.shape[0]
+    if indices is not None:
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        if np.any((idx < 0) | (idx >= p)):
+            raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
+        if idx.ndim > 2 or (idx.ndim == 2 and idx.shape[0] != A):
+            raise ConfigError(f"indices must be 1-D or ({A}, m), got shape {idx.shape}")
+    off = np.empty((A, p - 1))
+    off[:, 0::2] = a_values[:, None]
+    off[:, 1::2] = 1.0
+    vals = _eigvalsh(params.v, off)
+    if indices is None:
+        return vals
+    if idx.ndim == 1:
+        return vals[:, idx]
+    return np.take_along_axis(vals, idx, axis=1)
 
 
 def decoupled_eigenvalues(params: RibbonParams) -> np.ndarray:
     """Closed-form spectrum of J_0: block v_1 plus N 2x2 blocks.
 
     At a = 0 the first site decouples and the rest pairs up as
-    [[v_{2k}, 1], [1, v_{2k+1}]], k = 1..N.
+    [[v_{2k}, 1], [1, v_{2k+1}]], k = 1..N.  Halves are taken before the
+    sums, so potentials up to the float64 limit do not overflow.
     """
     v = params.v
     vals = [v[0]]
     for k in range(1, params.N + 1):
         x, y = v[2 * k - 1], v[2 * k]
-        mean, half = 0.5 * (x + y), 0.5 * (x - y)
+        mean, half = 0.5 * x + 0.5 * y, 0.5 * x - 0.5 * y
         r = math.hypot(half, 1.0)
         vals.extend((mean - r, mean + r))
     return np.sort(np.asarray(vals))
 
 
-def eigenvalues(J: JacobiMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues(J: JacobiMatrix) -> np.ndarray:
     """All p eigenvalues of J, ascending; position i holds band index i - N.
 
-    Works from the matrix's actual off-diagonals.  The exact a = 0 pattern
-    is dispatched to the closed-form decoupled blocks; everything else runs
-    Sturm bisection with Gershgorin bracketing.
+    Works from the matrix's actual off-diagonals, through the same kernel
+    as eigenvalues_batch: the exact a = 0 pattern takes the closed-form
+    decoupled blocks, everything else LAPACK.
     """
-    if J.a == 0.0 and np.array_equal(J.offdiag, offdiag_pattern(J.p, 0.0)):
-        return decoupled_eigenvalues(RibbonParams(N=(J.p - 1) // 2, v=J.diag))
-    return _bisect_eigenvalues(J.diag, (J.offdiag**2)[None, :], tol)[0]
+    return _eigvalsh(J.diag, J.offdiag[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The central cross-check: the spectrum of a periodic L-cell ribbon section
 (dense real-space matrix, diagonalized by cyclic Jacobi rotations) must
 equal, as a multiset, the union over the L discrete quasimomenta of the
-eigenvalues of the tridiagonal family (computed by Sturm bisection).
-The two eigensolvers share no code path on purpose.
+eigenvalues of the tridiagonal family (closed form at a = 0, LAPACK on the
+p x p Jacobi matrices otherwise).  The two eigensolvers share no code path
+on purpose.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from ribbonband import (
     unperturbed_spectrum,
 )
 from ribbonband._optimize import refine_extremum
+from ribbonband.bands import _report_from_intervals
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -207,6 +208,26 @@ def test_monotone_band_ordering_random_potential():
 def test_spectrum_report_flat_tol_validation():
     with pytest.raises(ConfigError):
         spectrum_report(RibbonParams(N=1), flat_tol=-1.0)
+
+
+def test_report_merges_edges_within_edge_tol():
+    # edges 1.0 and the float just below it are one point: no sliver
+    # window with a spurious count
+    below = float(np.nextafter(1.0, 0.0))
+    rows = [(-1, 0.0, 1.0, False), (0, None, 2.0, False),
+            (1, 0.5, 3.0, False), (2, 4.0, 5.0, False)]
+    near = [(k, below if lo is None else lo, hi, f) for k, lo, hi, f in rows]
+    exact = [(k, 1.0 if lo is None else lo, hi, f) for k, lo, hi, f in rows]
+    reference = _report_from_intervals(exact, 1e-12)
+    assert reference == _report_from_intervals(exact)
+    merged = _report_from_intervals(near, 1e-12)
+    assert merged.gaps == reference.gaps == ((3.0, 4.0),)
+    assert merged.multiplicity_windows == reference.multiplicity_windows
+    # edge_tol = 0 keeps the split: a sliver (below, 1.0) with count 3
+    split = _report_from_intervals(near, 0.0)
+    assert split.gaps == reference.gaps
+    assert ((below, 1.0), 3) in split.multiplicity_windows
+    assert split.multiplicity_windows != reference.multiplicity_windows
 
 
 def test_refine_extremum_batched_equals_scalar_search():

@@ -1,10 +1,14 @@
 """Command-line behavior: table formats, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ribbonband
 from ribbonband import ConfigError, NumericalError, RibbonParams, eigenvalues_batch
 from ribbonband.cli import fmt15, main, resolve_potential
 
@@ -290,6 +294,20 @@ def test_overflowing_potential_exits_3(capsys):
                         "--potential=1e308,1e308,1e308"], capsys)
     assert code == 3
     assert "numerical error" in err
+
+
+def test_bands_near_float_limit_exits_3_without_warning():
+    # a real process, so numpy warnings and tracebacks would reach stderr
+    src = os.path.dirname(os.path.dirname(ribbonband.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ribbonband.cli", "bands", "--N", "1",
+         "--potential=1e308,-1e308,1e308"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

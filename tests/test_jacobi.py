@@ -1,7 +1,9 @@
-"""Tridiagonal family: Sturm bisection against the dense rotation oracle,
-transfer/monodromy algebra, and the zero-potential closed forms."""
+"""Tridiagonal family: the LAPACK kernel against the dense rotation oracle,
+Sturm counts, transfer/monodromy algebra, and the zero-potential closed
+forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ribbonband import (
     ConfigError,
     CriterionViolation,
     JacobiMatrix,
+    NumericalError,
     RibbonParams,
     a_of_t,
     char_poly,
@@ -103,6 +106,8 @@ def test_eigenvalues_batch_index_selection():
     np.testing.assert_allclose(sel[:, 0], full[:, 2], atol=1e-12)
     with pytest.raises(ConfigError):
         eigenvalues_batch(params, [2.5])
+    with pytest.raises(TypeError):
+        eigenvalues_batch(params, grid, [2])  # indices is keyword-only
 
 
 def test_eigenvalues_batch_rejects_nan():
@@ -113,7 +118,7 @@ def test_eigenvalues_batch_rejects_nan():
 
 def test_eigenvalues_batch_rows_match_single_solves_bitwise():
     # each row, with shared or per-row (2-D) indices, is bit for bit the
-    # solve of that row alone; the zero potential has exact zero pivots
+    # solve of that row alone; the zero potential has exact multiplicities
     a = np.array([0.0, 0.3, 1.0, 1.7, 2.0, 0.3])
     idx = np.array([0, 4, 2, 1, 3, 3])
     for v in (np.zeros(5), np.array([0.2, -0.3, 0.5, 0.1, -0.4])):
@@ -127,6 +132,74 @@ def test_eigenvalues_batch_rows_match_single_solves_bitwise():
             assert per_row[r, 0] == single[idx[r]]
     with pytest.raises(ConfigError):
         eigenvalues_batch(params, a, indices=idx[:3, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=8),
+    st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+    st.integers(0, 2**32 - 1),
+)
+def test_eigenvalues_batch_matches_rotation_oracle(N, a, scale, seed):
+    # every row against the independent Jacobi-rotation solver; indices,
+    # shared or per row, pick bit for bit from the full row
+    rng = np.random.default_rng(seed)
+    params = RibbonParams(N=N, v=scale * rng.uniform(-1.0, 1.0, 2 * N + 1))
+    a = np.array(a)
+    full = eigenvalues_batch(params, a)
+    for r in range(a.size):
+        oracle = dense_symmetric_eig(jacobi_matrix(params, a[r]).dense())
+        np.testing.assert_allclose(full[r], oracle, rtol=0,
+                                   atol=1e-10 * max(1.0, scale))
+    idx = rng.integers(0, params.p, size=(a.size, 3))
+    np.testing.assert_array_equal(eigenvalues_batch(params, a, indices=idx),
+                                  np.take_along_axis(full, idx, axis=1))
+    np.testing.assert_array_equal(eigenvalues_batch(params, a, indices=idx[0]),
+                                  full[:, idx[0]])
+
+
+def test_eigenvalues_batch_rows_equal_across_stacks(monkeypatch):
+    # at N = 64 a 401-point scan spans many LAPACK stacks, each at most
+    # 2^16 entries; a row's values do not depend on its stack
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(M):
+        stacks.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    params = RibbonParams(N=64, v=np.random.default_rng(3).uniform(-1, 1, 129))
+    grid = np.linspace(0.0, 2.0, 401)
+    full = eigenvalues_batch(params, grid)
+    assert len(stacks) > 2
+    assert all(rows * p * q <= 2**16 for rows, p, q in stacks)
+    shifted = eigenvalues_batch(params, grid[1:12])
+    np.testing.assert_array_equal(shifted, full[1:12])
+    for r in (2, 3, 4, 400):
+        np.testing.assert_array_equal(eigenvalues_batch(params, grid[r])[0], full[r])
+
+
+@pytest.mark.parametrize("v", [(1e308, 1e308, 1e308), (1e308, -1e308, 1e308),
+                               (1.7e308, -1.7e308, 1.7e308)])
+def test_eigenvalues_batch_near_float_limit_finite_or_typed(v):
+    # potentials near 1e308: finite rows or NumericalError, no warning
+    params = RibbonParams(N=1, v=np.array(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = eigenvalues_batch(params, np.linspace(0.0, 2.0, 9))
+        except NumericalError:
+            return
+    assert np.all(np.isfinite(rows))
+
+
+def test_eigenvalues_non_finite_offdiagonal_raises_typed():
+    for bad in (np.nan, np.inf):
+        J = JacobiMatrix(a=1.0, diag=np.zeros(3), offdiag=np.array([bad, 1.0]))
+        with pytest.raises(NumericalError):
+            eigenvalues(J)
 
 
 def test_decoupled_limit_matches_general_path():
