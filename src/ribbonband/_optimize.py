@@ -1,67 +1,94 @@
-"""Golden-section refinement of grid-bracketed extrema, batched."""
+"""Refinement of grid-bracketed extrema from values and slopes, batched."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A bracket is done once f can change across it by less than this many eps
+# times the largest |sample| (at least 1): f's own rounding level.
+_ROUNDING = 16.0 * np.finfo(float).eps
+# Ratio of the geometric probes in a cell that starts at x = 0.
+_LADDER = 4.0
+
+
+def _worth(xl, xr, gl, gr, dl, dr, level):
+    """2 where a probe pair holds a local minimum (its lower end's slope
+    points in), 1 where it may hide one (its chord slope is off the range
+    of its end slopes beyond rounding: f' is not monotone inside), else 0."""
+    chord = (gr - gl) / (xr - xl)
+    slack = 2.0 * level / (xr - xl)
+    bent = (chord < np.minimum(dl, dr) - slack) | (chord > np.maximum(dl, dr) + slack)
+    return np.where(np.where(gl <= gr, dl < 0, dr > 0), 2, bent.astype(int))
 
 
 def refine_extremum(f, grid, values, xtol: float = 1e-10):
-    """Refine the minimum and the maximum of every sampled column to xtol in x.
+    """Refine the minimum and the maximum of every sampled column.
 
-    values[i, j] = f_j(grid[i]) for m columns.  Each of the 2m extrema is
-    bracketed by the grid cells around its discrete arg-extremum (clipped
-    at the ends) and refined by golden-section search, assuming f_j is
-    unimodal there; a degenerate (<= xtol) bracket collapses to its
-    midpoint.  All brackets advance together: f(cols, x) must return
-    f_cols[r](x[r]) for equal-length arrays, so each step is one batched
-    evaluation of the brackets still wider than xtol.  A maximum is
-    searched as the minimum of -f_j.  A sample more extreme than the
-    refined value is kept.
+    values[i, j] = f_j(grid[i]); f(cols, x) returns (f_cols[r](x[r]),
+    f_cols[r]'(x[r])), so each step is one batched call.  A maximum is the
+    minimum of -f_j.  Each extremum is probed in the grid cells around its
+    arg-extremum, at the ends and the middle.  A cell from x = 0, where the
+    even f_j has slope 0 and near-degenerate eigenvalues hide extrema at
+    every scale, is probed at its end over powers of _LADDER down to xtol.
+    Probe pairs worth searching (_worth) become brackets, stepped together
+    by an Illinois secant on the slope where the end slopes straddle 0,
+    else by bisection; each keeps its more promising half until it is
+    xtol wide or max |slope| times its width is below the rounding level.
+    The most extreme evaluated point or grid sample is returned, so an
+    extremum with no bracket, as at x = 2, costs one step.
 
-    Returns (x, fx), each of shape (2, m): row 0 the minima, row 1 the
-    maxima.
+    Returns (x, fx), each (2, m): row 0 the minima, row 1 the maxima.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    m = values.shape[1]
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    n, m = values.shape
     cols = np.tile(np.arange(m), 2)
     sign = np.repeat([1.0, -1.0], m)
-    signed = values[:, cols] * sign
-    i = np.argmin(signed, axis=0)
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, len(grid) - 1)]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    e = np.arange(2 * m)
+    i = np.argmin(values[:, cols] * sign, axis=0)
+    level = _ROUNDING * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    seen = [(e, grid[i], sign * values[i, cols])]
 
-    def g(sel, x):
-        return sign[sel] * f(cols[sel], x)
+    def g(own, x):
+        val, slope = f(cols[own], x)
+        seen.append((own, x, sign[own] * val))
+        return sign[own] * val, sign[own] * slope
 
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = np.zeros_like(x1)
-    f2 = np.zeros_like(x2)
-    live = np.flatnonzero(hi - lo > xtol)
-    if live.size:
-        both = g(np.concatenate([live, live]), np.concatenate([x1[live], x2[live]]))
-        f1[live], f2[live] = both[: live.size], both[live.size :]
-    while live.size:
-        left = f1[live] <= f2[live]
-        L, R = live[left], live[~left]
-        hi[L], x2[L], f2[L] = x2[L], x1[L], f1[L]
-        x1[L] = hi[L] - _INVPHI * (hi[L] - lo[L])
-        lo[R], x1[R], f1[R] = x1[R], x2[R], f2[R]
-        x2[R] = lo[R] + _INVPHI * (hi[R] - lo[R])
-        fn = g(np.concatenate([L, R]), np.concatenate([x1[L], x2[R]]))
-        f1[L], f2[R] = fn[: L.size], fn[L.size :]
-        live = live[hi[live] - lo[live] > xtol]
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)]
+    depth = np.ceil(np.log(np.maximum(hi / xtol, 1.0)) / np.log(_LADDER)).astype(int)
+    count = np.where(lo == 0.0, depth + 1, 3)
+    own = np.repeat(e, count)
+    k = np.arange(own.size) - np.repeat(np.cumsum(count) - count, count)
+    x = np.where(lo[own] == 0.0, hi[own] * _LADDER ** (k - depth[own]),
+                 lo[own] + 0.5 * k * (hi[own] - lo[own]))
+    gx, dx = g(own, x)
+    q = np.flatnonzero(own[1:] == own[:-1])
+    q = q[_worth(x[q], x[q + 1], gx[q], gx[q + 1], dx[q], dx[q + 1], level) > 0]
+    own = own[q]
+    # bracket ends (row 0 left, 1 right); S: Illinois-weighted slopes; kept: last kept end
+    X, G, D, S = (np.stack([v[q], v[q + 1]]) for v in (x, gx, dx, dx))
+    live, kept = np.ones(q.size, dtype=bool), np.full(q.size, -1)
 
-    x = 0.5 * (lo + hi)
-    fx = g(np.arange(2 * m), x)
-    best = signed[i, np.arange(2 * m)]
-    keep = best < fx
-    x = np.where(keep, grid[i], x)
-    fx = np.where(keep, best, fx)
-    return x.reshape(2, m), (sign * fx).reshape(2, m)
+    while True:
+        live &= (X[1] - X[0] > xtol) & (np.abs(D).max(axis=0) * (X[1] - X[0]) >= level)
+        act = np.flatnonzero(live)
+        if not act.size:
+            break
+        L, R = X[0, act], X[1, act]
+        x = 0.5 * L + 0.5 * R
+        s = np.flatnonzero((D[0, act] < 0) & (D[1, act] > 0))
+        frac = S[0, act[s]] / (S[0, act[s]] - S[1, act[s]])
+        x[s] = np.clip(L[s] + (R[s] - L[s]) * frac, L[s] + xtol / 2, R[s] - xtol / 2)
+        gx, dx = g(own[act], x)
+        w1 = _worth(L, x, G[0, act], gx, D[0, act], dx, level)
+        w2 = _worth(x, R, gx, G[1, act], dx, D[1, act], level)
+        live[act] = np.maximum(w1, w2) > 0
+        stay = ((w1 > w2) | ((w1 == w2) & (G[0, act] <= G[1, act]))).astype(int) ^ 1
+        S[stay, act] *= np.where(kept[act] == stay, 0.5, 1.0)
+        for ends, new in ((X, x), (G, gx), (D, dx), (S, dx)):
+            ends[1 - stay, act] = new
+        kept[act] = stay
+
+    own, x, gx = (np.concatenate(v) for v in zip(*seen))
+    order = np.lexsort((gx, own))  # stable: a grid sample wins a tie
+    pick = order[np.searchsorted(own[order], e)]
+    return x[pick].reshape(2, m), (sign * gx[pick]).reshape(2, m)

@@ -39,14 +39,20 @@ def weak_field_center(a, params: RibbonParams):
     a = np.asarray(a, dtype=float)
     if not np.all((a >= 0.0) & (a <= 2.0)):
         raise ConfigError(f"a={a} outside [0, 2]")
+    return _center_and_slope(a, params)[0]
+
+
+def _center_and_slope(a, params: RibbonParams):
+    """weak_field_center and its a-derivative: Horner in z = a^2 carrying
+    the derivatives of numerator and denominator, quotient rule, dz/da."""
     z = a * a
-    odd = params.v[0::2]  # v_1, v_3, ..., v_p
-    num = 0.0
-    den = 0.0
-    for vk in odd[::-1]:
+    num = den = dnum = dden = 0.0
+    for vk in params.v[0::2][::-1]:  # v_p, ..., v_3, v_1
+        dnum = dnum * z + num
+        dden = dden * z + den
         num = num * z + vk
         den = den * z + 1.0
-    return num / den
+    return num / den, 2.0 * a * (dnum * den - num * dden) / (den * den)
 
 
 def weak_field_center_telescoped(a: float, params: RibbonParams) -> float:
@@ -96,10 +102,10 @@ class WeakFieldPrediction:
 
 
 def weak_field_edges(params: RibbonParams, grid=None) -> WeakFieldPrediction:
-    """Extrema of the first-order central band over [0,2] (grid + golden)."""
+    """Extrema of the first-order central band over [0,2] (grid + slope)."""
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     samples = weak_field_center(grid, params)
-    _, fx = refine_extremum(lambda _, a: weak_field_center(a, params),
+    _, fx = refine_extremum(lambda _, a: _center_and_slope(a, params),
                             grid, samples[:, None])
     return WeakFieldPrediction(F_samples=samples, lo=float(fx[0, 0]),
                                hi=float(fx[1, 0]))

@@ -4,11 +4,11 @@ Band k (k = -N..N) is the k-th eigenvalue branch a -> lambda_k(J_a),
 a in [0, 2]; its band interval sigma_k is the range of that continuous
 function, the spectrum of the full ribbon operator being the union of
 the sigma_k.  Extrema are located by one grid scan of the requested
-bands followed by one golden-section search that refines every band's
-minimum and maximum together, each step a single batched LAPACK eigensolve
-with one (a, band) pair per row.  The zero-potential spectrum has a closed
-form, used both as public API and as the regression pin for the generic
-path.
+bands followed by one bracket search on value and slope refining every
+band's minimum and maximum together, each step one batched LAPACK eigh
+with one (a, band) pair per row, the slope from its eigenvector.  The
+zero-potential spectrum has a closed form, used both as public API and
+as the regression pin for the generic path.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optimize import refine_extremum
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .jacobi import (
+    _eigenvalue_slopes,
     cos_node,
     eigenvalues_batch,
     sin_node,
@@ -48,7 +49,7 @@ def band_function(k: int, params: RibbonParams, grid=None) -> np.ndarray:
 
 def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
     """One grid scan of the given eigenvalue indices, then one batched
-    golden refinement of each index's minimum and maximum.
+    value-and-slope refinement of each index's minimum and maximum.
 
     Returns (grid, values, x, fx) with values[i, j] = eigenvalue
     indices[j] at grid[i] and x/fx as in refine_extremum.
@@ -58,7 +59,7 @@ def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
     values = eigenvalues_batch(params, grid, indices=indices)
 
     def f(cols, a):
-        return eigenvalues_batch(params, a, indices=indices[cols, None])[:, 0]
+        return _eigenvalue_slopes(params, a, indices[cols])
 
     x, fx = refine_extremum(f, grid, values, xtol)
     return grid, values, x, fx
@@ -67,7 +68,7 @@ def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
 def band_interval(
     k: int, params: RibbonParams, grid=None, xtol: float = A_RESOLUTION
 ) -> tuple[float, float]:
-    """(min, max) of lambda_k over a in [0,2]: grid scan + golden refinement."""
+    """(min, max) of lambda_k over a in [0,2]: grid scan + slope refinement."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
@@ -166,7 +167,8 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
 def spectrum_report(
     params: RibbonParams, grid=None, flat_tol: float | None = None
 ) -> SpectrumReport:
-    """Measure every band interval and assemble gaps/windows."""
+    """Measure every band interval and assemble gaps/windows; raises
+    NumericalError when the band edges span beyond float64 range."""
     if flat_tol is None:
         flat_tol = 1e-10 * max(1.0, float(np.max(np.abs(params.v))))
     elif flat_tol <= 0:
@@ -174,6 +176,8 @@ def spectrum_report(
     rows = []
     for j, ((_, lo), (_, hi)) in enumerate(band_table(params, grid).refined_extrema):
         rows.append((j - params.N, lo, hi, hi - lo <= flat_tol))
+    if rows[-1][2] - rows[0][1] == float("inf"):
+        raise NumericalError("band edges span beyond float64 range")
     return _report_from_intervals(rows, flat_tol)
 
 

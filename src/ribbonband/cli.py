@@ -223,7 +223,7 @@ def _report_dict(config: RunConfig) -> dict:
     for k, lo, hi, is_flat in rep.bands:
         row = {"k": k, "lo": lo, "hi": hi, "flat": bool(is_flat)}
         if is_flat:
-            row["value"] = 0.5 * (lo + hi)
+            row["value"] = 0.5 * lo + 0.5 * hi
         bands.append(row)
     return {
         "N": config.N,

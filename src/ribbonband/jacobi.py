@@ -146,6 +146,31 @@ def _eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
+    """(lambda, dlambda/da) of eigenvalue indices[r] of J_a, a = a_values[r] > 0.
+
+    The slope is psi^T (dJ/da) psi = 2 * sum over the a-bonds (j even) of
+    psi_j psi_{j+1} (Hellmann-Feynman), psi from the same numpy.linalg.eigh
+    call.  Raises NumericalError on a non-finite result or a failed solve.
+    """
+    off = np.where(np.arange(params.p - 1) % 2 == 0, np.c_[a_values], 1.0)
+    lam, slope = np.empty(off.shape[0]), np.empty(off.shape[0])
+    step = max(1, _STACK_ENTRIES // params.p**2)
+    for s in range(0, off.shape[0], step):
+        r = slice(s, s + step)
+        try:
+            w, V = np.linalg.eigh(_tridiagonal_stack(params.v, off[r]))
+        except np.linalg.LinAlgError as exc:  # NaN entries
+            raise NumericalError(f"LAPACK eigensolve failed: {exc}") from exc
+        rows, k = np.arange(w.shape[0]), indices[r]
+        psi = V[rows, :, k]
+        lam[r] = w[rows, k]
+        slope[r] = 2.0 * np.sum(psi[:, :-1:2] * psi[:, 1::2], axis=1)
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(slope))):
+        raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
+    return lam, slope
+
+
 def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.ndarray:
     """Eigenvalues of J_a for every a in a_values, ascending in each row.
 
@@ -163,9 +188,7 @@ def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.nda
             raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
         if idx.ndim > 2 or (idx.ndim == 2 and idx.shape[0] != A):
             raise ConfigError(f"indices must be 1-D or ({A}, m), got shape {idx.shape}")
-    off = np.empty((A, p - 1))
-    off[:, 0::2] = a_values[:, None]
-    off[:, 1::2] = 1.0
+    off = np.where(np.arange(p - 1) % 2 == 0, a_values[:, None], 1.0)
     vals = _eigvalsh(params.v, off)
     if indices is None:
         return vals

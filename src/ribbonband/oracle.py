@@ -113,9 +113,9 @@ def bloch_union_spectrum(params: RibbonParams, L: int) -> np.ndarray:
 class MultisetReport:
     """Greedy sorted pairing of two real multisets.
 
-    Each pair deviating beyond tol contributes 2 to unmatched_count (one
-    element per side), plus any size difference; size is the number of
-    paired elements.
+    Each pair not within tol (a NaN on either side included) contributes
+    2 to unmatched_count (one element per side), plus any size difference;
+    size is the number of paired elements.
     """
 
     max_pairwise_deviation: float
@@ -130,7 +130,7 @@ def compare_multisets(A, B, tol: float) -> MultisetReport:
     m = min(A.shape[0], B.shape[0])
     dev = np.abs(A[:m] - B[:m])
     max_dev = float(dev.max()) if m else 0.0
-    unmatched = 2 * int(np.count_nonzero(dev > tol)) + abs(A.shape[0] - B.shape[0])
+    unmatched = 2 * int(np.count_nonzero(~(dev <= tol))) + abs(A.shape[0] - B.shape[0])
     return MultisetReport(
         max_pairwise_deviation=max_dev, unmatched_count=unmatched, size=m
     )

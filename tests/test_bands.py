@@ -28,7 +28,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_min_scalar(f, lo, hi, xtol):
-    """One bracket at a time: the arithmetic the batched search must repeat."""
+    """Golden-section search of one bracket: the scalar reference that the
+    batched refinement must match or beat."""
     if hi < lo:
         lo, hi = hi, lo
     if hi - lo <= xtol:
@@ -230,68 +231,116 @@ def test_report_merges_edges_within_edge_tol():
     assert split.multiplicity_windows != reference.multiplicity_windows
 
 
-def test_refine_extremum_batched_equals_scalar_search():
+def _analytic_columns():
+    """(value, slope) pairs of five even functions of a.
+
+    Columns 3 and 4 are the eigenvalues c*a^2 + eps/2 -+ sqrt(eps^2/4 +
+    kappa^2 a^2) of [[c a^2, kappa a], [kappa a, eps + c a^2]]: a pair
+    eps apart at a = 0 whose lower member has its minimum at a_star, inside
+    the first cell of a 41-point grid.
+    """
+    c, kappa, eps = 1.0, 0.1, 0.004
+
+    def root(a):
+        return np.sqrt(0.25 * eps**2 + (kappa * a) ** 2)
+
     funcs = [
-        lambda a: (a - 0.7) ** 2,  # interior minimum, maximum at a = 2
-        lambda a: -a,              # both extrema at the ends
-        lambda a: np.cos(3.0 * a),  # interior minimum pi/3, maximum at a = 0
+        (lambda a: (a * a - 0.49) ** 2, lambda a: 4.0 * a * (a * a - 0.49)),
+        (lambda a: np.cos(3.0 * a), lambda a: -3.0 * np.sin(3.0 * a)),
+        (lambda a: np.full_like(a, 0.3), lambda a: np.zeros_like(a)),
+        (lambda a: c * a * a + 0.5 * eps - root(a),
+         lambda a: 2.0 * c * a - kappa**2 * a / root(a)),
+        (lambda a: c * a * a + 0.5 * eps + root(a),
+         lambda a: 2.0 * c * a + kappa**2 * a / root(a)),
     ]
+    a_star = math.sqrt(kappa**4 / (4.0 * c * c) - 0.25 * eps**2) / kappa
+    low = c * a_star**2 + 0.5 * eps - kappa**2 / (2.0 * c)
+    return funcs, a_star, low
+
+
+def test_refine_extremum_analytic_columns():
+    funcs, a_star, low = _analytic_columns()
     calls = []
 
     def f(cols, x):
-        calls.append(len(x))
-        return np.array([funcs[c](xi) for c, xi in zip(cols, x)])
+        calls.append(x.copy())
+        vals = np.array([funcs[c][0](xi) for c, xi in zip(cols, x)])
+        return vals, np.array([funcs[c][1](xi) for c, xi in zip(cols, x)])
 
-    grid = np.linspace(0.0, 2.0, 11)
-    values = np.column_stack([[g(a) for a in grid] for g in funcs])
-    x, fx = refine_extremum(f, grid, values)
-    assert x.shape == fx.shape == (2, 3)
-    assert abs(x[0, 0] - 0.7) < 1e-9 and fx[0, 0] < 1e-18
-    # f is flat to rounding within ~1e-8 of pi/3, which bounds x there
-    assert abs(x[0, 2] - math.pi / 3) < 1e-7 and fx[0, 2] == pytest.approx(-1.0, abs=1e-15)
-    # an end sample beats every interior point, so it is kept exactly
-    assert (x[1, 0], fx[1, 0]) == (2.0, values[-1, 0])
-    assert (x[0, 1], x[1, 1]) == (2.0, 0.0)
-    assert x[1, 2] < 1e-10 and fx[1, 2] == 1.0
-    # one evaluation per live bracket and step, no more
-    assert max(calls) == 2 * 6 and len(calls) < 60
-    for j, g in enumerate(funcs):
-        for row, sign in ((0, 1.0), (1, -1.0)):
-            assert (x[row, j], fx[row, j]) == _refine_scalar(g, grid, values[:, j], sign)
-
-
-def test_refine_extremum_degenerate_bracket_collapses_to_midpoint():
-    # cells below xtol: no search, one evaluation at the bracket midpoint
-    grid = np.array([0.0, 5e-11, 9e-11])
-    calls = []
-
-    def f(cols, x):
-        calls.append(len(x))
-        return (x - 3e-11) ** 2
-
-    x, fx = refine_extremum(f, grid, ((grid - 3e-11) ** 2)[:, None])
-    assert calls == [2]
-    assert x[0, 0] == 0.5 * (0.0 + 9e-11) and fx[0, 0] == (x[0, 0] - 3e-11) ** 2
-    assert (x[1, 0], fx[1, 0]) == (9e-11, (9e-11 - 3e-11) ** 2)  # sample kept
-
-
-def test_band_table_extrema_equal_scalar_refinement_bitwise():
-    rng = np.random.default_rng(4)
     grid = np.linspace(0.0, 2.0, 41)
-    for N in (1, 2):
-        v = rng.uniform(-1.0, 1.0, 2 * N + 1)
-        if N == 2:
-            v[0::2] = v[0]  # flat central band
-        params = RibbonParams(N=N, v=v)
+    values = np.column_stack([fv(grid) for fv, _ in funcs])
+    x, fx = refine_extremum(f, grid, values)
+    assert x.shape == fx.shape == (2, 5)
+    # interior minima, located by the slope root
+    assert abs(x[0, 0] - 0.7) < 1e-7 and 0.0 <= fx[0, 0] < 1e-13
+    assert abs(x[0, 1] - math.pi / 3) < 1e-7
+    assert fx[0, 1] == pytest.approx(-1.0, abs=1e-13)
+    # extrema at the ends: the a = 2 probe and the a = 0 sample
+    assert (x[1, 0], fx[1, 0]) == (2.0, (4.0 - 0.49) ** 2)
+    assert (x[1, 1], fx[1, 1]) == (0.0, 1.0)
+    assert (x[0, 4], fx[0, 4]) == (0.0, 0.004)
+    # a constant column is its own extremum
+    assert fx[0, 2] == fx[1, 2] == 0.3
+    # the near-degenerate pair: a minimum inside (0, h) below every sample
+    assert 0.0 < a_star < grid[1]
+    assert abs(x[0, 3] - a_star) < 1e-7
+    assert fx[0, 3] == pytest.approx(low, abs=1e-15) and fx[0, 3] < values[:, 3].min()
+    assert (x[1, 3], fx[1, 3]) == (2.0, values[-1, 3])
+    # the slope at a = 0 is 0 by symmetry and is never asked for
+    assert all(np.all(xs > 0.0) for xs in calls)
+    assert len(calls) <= 10
+
+
+def _seeded_potentials():
+    """N = 1..6: random, equal 2x2 blocks (repeated a = 0 eigenvalues) and
+    rounded values, at scales from 1e-4 to 30."""
+    rng = np.random.default_rng(20261018)
+    for N in range(1, 7):
+        for shape in ("random", "equal-blocks", "rounded"):
+            for _ in range(2):
+                v = rng.uniform(-1.0, 1.0, 2 * N + 1)
+                if shape == "equal-blocks":
+                    v[1:] = np.tile(v[1:3], N)
+                elif shape == "rounded":
+                    v = np.round(v, 1)
+                scale = 10.0 ** rng.uniform(-4.0, math.log10(30.0))
+                yield RibbonParams(N=N, v=scale * v)
+
+
+def test_band_table_extrema_at_least_as_extreme_as_golden_reference():
+    grid = default_grid()
+    for params in _seeded_potentials():
         table = band_table(params, grid)
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
         for j in range(params.p):
             def f(a, j=j):
                 return float(eigenvalues_batch(params, [a], indices=[j])[0, 0])
 
             col = table.values[:, j]
-            assert table.refined_extrema[j] == (
-                _refine_scalar(f, grid, col, 1.0), _refine_scalar(f, grid, col, -1.0)
-            )
+            (_, lo), (_, hi) = table.refined_extrema[j]
+            assert lo <= _refine_scalar(f, grid, col, 1.0)[1] + tol
+            assert hi >= _refine_scalar(f, grid, col, -1.0)[1] - tol
+
+
+def test_refine_extremum_steps_per_band_table(monkeypatch):
+    # a count, not a timing: golden section took about 35 batched steps
+    import ribbonband.bands as bands_mod
+
+    steps = []
+
+    def counted(f, grid, values, xtol):
+        def g(cols, a):
+            steps[-1] += 1
+            return f(cols, a)
+
+        steps.append(0)
+        return refine_extremum(g, grid, values, xtol)
+
+    monkeypatch.setattr(bands_mod, "refine_extremum", counted)
+    for params in _seeded_potentials():
+        band_table(params)
+    assert len(steps) == 36
+    assert np.median(steps) <= 10
 
 
 def _dense_scan_extrema(params, points=20001):

@@ -310,6 +310,43 @@ def test_bands_near_float_limit_exits_3_without_warning():
     assert "Traceback" not in proc.stderr
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_bands_json_report_near_float_limit_is_standard_json(tmp_path, capsys):
+    # flat bands at 1e308: their value (lo + hi) / 2 must not overflow to
+    # Infinity, which json.dumps writes although it is not JSON
+    out = tmp_path / "near"
+    code, _, _ = run(["bands", "--N", "1", "--potential=1e308,1e308,1e308",
+                      "--format", "json", "--out", str(out)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "near.report.json").read_text(),
+                        parse_constant=_no_constant)
+    assert [b["value"] for b in report["bands"]] == [1e308] * 3
+
+
+def test_bands_edge_span_beyond_float_range_exits_3(tmp_path, capsys):
+    # edges at -1e308 and 1e308: the spectrum's span overflows
+    out = tmp_path / "span"
+    code, _, err = run(["bands", "--N", "1", "--potential=1e308,-1e308,1e308",
+                        "--format", "json", "--out", str(out)], capsys)
+    assert code == 3 and "span" in err
+    assert not (tmp_path / "span.report.json").exists()
+
+
+def test_cli_import_leaves_scipy_linalg_and_optimize_unloaded():
+    # importing either costs about 130 ms of CLI start-up
+    src = os.path.dirname(os.path.dirname(ribbonband.__file__))
+    probe = ("import sys, ribbonband.cli; "
+             "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

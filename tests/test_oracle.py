@@ -135,6 +135,12 @@ def test_compare_multisets_counts_mismatches():
     assert rep.max_pairwise_deviation == 0.0
 
 
+def test_compare_multisets_counts_nan_as_unmatched():
+    # dev > tol is False for NaN; a NaN pair must not pass as matched
+    assert compare_multisets([np.nan], [0.0], 1e-8).unmatched_count == 2
+    assert compare_multisets([0.0, 1.0], [0.0, np.nan], 1e-8).unmatched_count == 2
+
+
 def test_ring_matches_dense_of_built_matrix():
     # sanity: periodic_ribbon_spectrum really is the assembled ring operator
     params = RibbonParams(N=1, v=np.array([0.1, -0.2, 0.3]))
