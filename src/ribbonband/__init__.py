@@ -18,15 +18,12 @@ from .asymptotics import (
     order_check,
     strong_field,
     weak_field_center,
-    weak_field_center_telescoped,
     weak_field_edges,
 )
 from .bands import (
-    BandTable,
     SpectrumReport,
     band_function,
     band_interval,
-    band_table,
     default_grid,
     flat_band_criterion,
     spectrum_report,
@@ -40,20 +37,12 @@ from .errors import (
 )
 from .jacobi import (
     JacobiMatrix,
-    Monodromy,
     a_of_t,
-    char_poly,
     cos_node,
-    decoupled_eigenvalues,
     eigenvalues,
     eigenvalues_batch,
-    fundamental_solutions,
     jacobi_matrix,
-    monodromy,
-    offdiag_pattern,
     sin_node,
-    sturm_count,
-    transfer_matrix,
     unperturbed_eigenvalue,
 )
 from .lattice import (
@@ -61,12 +50,8 @@ from .lattice import (
     PERIODIC,
     FlatBandVector,
     RibbonParams,
-    RibbonState,
-    apply_hamiltonian,
     build_ribbon,
-    expand_in_flat_basis,
     flat_band_vector,
-    flat_basis_combination,
     verify_flat_eigen,
 )
 from .oracle import (
@@ -80,62 +65,47 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandTable",
     "BoundaryClashError",
     "ConfigError",
     "CriterionViolation",
     "FlatBandVector",
     "JacobiMatrix",
-    "Monodromy",
     "MultisetReport",
     "NumericalError",
     "OPEN",
     "OrderEstimate",
     "PERIODIC",
     "RibbonParams",
-    "RibbonState",
     "SpectrumReport",
     "StrongFieldEstimate",
     "WeakFieldPrediction",
     "a_of_t",
-    "apply_hamiltonian",
     "band_function",
     "band_interval",
-    "band_table",
     "bloch_union_spectrum",
     "build_ribbon",
-    "char_poly",
     "compare_multisets",
     "constant_field",
     "constant_field_potential",
     "cos_node",
-    "decoupled_eigenvalues",
     "default_grid",
     "dense_symmetric_eig",
     "eigenvalues",
     "eigenvalues_batch",
-    "expand_in_flat_basis",
     "first_order_lower_edge",
     "first_order_upper_edge",
     "flat_band_criterion",
     "flat_band_vector",
-    "flat_basis_combination",
-    "fundamental_solutions",
     "jacobi_matrix",
-    "monodromy",
-    "offdiag_pattern",
     "order_check",
     "periodic_ribbon_spectrum",
     "sin_node",
     "spectrum_report",
     "strong_field",
-    "sturm_count",
-    "transfer_matrix",
     "unperturbed_eigenvalue",
     "unperturbed_spectrum",
     "verify_flat_eigen",
     "weak_field_center",
-    "weak_field_center_telescoped",
     "weak_field_edges",
     "__version__",
 ]

@@ -44,47 +44,22 @@ def weak_field_center(a, params: RibbonParams):
 
 def _center_and_slope(a, params: RibbonParams):
     """weak_field_center and its a-derivative: Horner in z = a^2 carrying
-    the derivatives of numerator and denominator, quotient rule, dz/da."""
+    the derivatives of numerator and denominator, quotient rule, dz/da.
+    Raises NumericalError when either leaves float64 range."""
     z = a * a
     num = den = dnum = dden = 0.0
-    for vk in params.v[0::2][::-1]:  # v_p, ..., v_3, v_1
-        dnum = dnum * z + num
-        dden = dden * z + den
-        num = num * z + vk
-        den = den * z + 1.0
-    return num / den, 2.0 * a * (dnum * den - num * dden) / (den * den)
-
-
-def weak_field_center_telescoped(a: float, params: RibbonParams) -> float:
-    """Algebraically equivalent form of weak_field_center:
-
-        v_p - sum_{k=1..N} (v_{2k+1} - v_{2k-1}) * (a^{2k}-1)/(a^{2(N+1)}-1)
-
-    The ratio is computed through expm1/log so the removable singularity
-    at a = 1 costs no precision; at a = 1 exactly the limit k/(N+1) is
-    used.  Nondecreasing odd entries make this nondecreasing in a.
-    """
-    if not 0.0 <= a <= 2.0:
-        raise ConfigError(f"a={a} outside [0, 2]")
-    N = params.N
-    odd = params.v[0::2]
-
-    if a == 1.0:
-        def ratio(k: int) -> float:
-            return k / (N + 1)
-    elif a == 0.0:
-        def ratio(k: int) -> float:
-            return 1.0
-    else:
-        t = math.log(a)
-
-        def ratio(k: int) -> float:
-            return math.expm1(2 * k * t) / math.expm1(2 * (N + 1) * t)
-
-    acc = float(odd[-1])
-    for k in range(1, N + 1):
-        acc -= (odd[k] - odd[k - 1]) * ratio(k)
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> raised below
+        for vk in params.v[0::2][::-1]:  # v_p, ..., v_3, v_1
+            dnum = dnum * z + num
+            dden = dden * z + den
+            num = num * z + vk
+            den = den * z + 1.0
+        center = num / den
+        slope = 2.0 * a * (dnum * den - num * dden) / (den * den)
+    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(slope))):
+        raise NumericalError("weak-field central band is not finite: potential "
+                             "beyond float64 range")
+    return center, slope
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ the sigma_k.  Extrema are located by one grid scan of the requested
 bands followed by one bracket search on value and slope refining every
 band's minimum and maximum together, each step one batched LAPACK eigh
 with one (a, band) pair per row, the slope from its eigenvector.  The
+spectrum report is the one place that assembles all band intervals; its
+central band is flat exactly when the flat-band criterion holds.  The
 zero-potential spectrum has a closed form, used both as public API and
 as the regression pin for the generic path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,9 @@ A_RESOLUTION = 1e-10
 
 
 def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    if points < 3:
-        raise ConfigError(f"grid needs at least 3 points, got {points}")
+    """points equally spaced a values over [0, 2]; points is odd and >= 3."""
+    if points < 3 or points % 2 == 0:
+        raise ConfigError(f"grid points must be odd and >= 3, got {points}")
     return np.linspace(0.0, 2.0, points)
 
 
@@ -47,12 +50,12 @@ def band_function(k: int, params: RibbonParams, grid=None) -> np.ndarray:
     return eigenvalues_batch(params, grid, indices=[k + N])[:, 0]
 
 
-def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
+def _scan_and_refine(params: RibbonParams, grid, indices):
     """One grid scan of the given eigenvalue indices, then one batched
     value-and-slope refinement of each index's minimum and maximum.
 
-    Returns (grid, values, x, fx) with values[i, j] = eigenvalue
-    indices[j] at grid[i] and x/fx as in refine_extremum.
+    Returns fx, (2, len(indices)): fx[0, j] and fx[1, j] are the refined
+    minimum and maximum of eigenvalue indices[j].
     """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     indices = np.asarray(indices)
@@ -61,47 +64,16 @@ def _scan_and_refine(params: RibbonParams, grid, xtol: float, indices):
     def f(cols, a):
         return _eigenvalue_slopes(params, a, indices[cols])
 
-    x, fx = refine_extremum(f, grid, values, xtol)
-    return grid, values, x, fx
+    return refine_extremum(f, grid, values, A_RESOLUTION)[1]
 
 
-def band_interval(
-    k: int, params: RibbonParams, grid=None, xtol: float = A_RESOLUTION
-) -> tuple[float, float]:
+def band_interval(k: int, params: RibbonParams, grid=None) -> tuple[float, float]:
     """(min, max) of lambda_k over a in [0,2]: grid scan + slope refinement."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    _, _, _, fx = _scan_and_refine(params, grid, xtol, [k + N])
+    fx = _scan_and_refine(params, grid, [k + N])
     return float(fx[0, 0]), float(fx[1, 0])
-
-
-@dataclass(frozen=True)
-class BandTable:
-    """Sampled band functions with refined extrema.
-
-    values[i, k+N] = lambda_k(grid[i]); refined_extrema[k+N] is the
-    ((a_min, lambda_min), (a_max, lambda_max)) pair for band k.
-    """
-
-    params: RibbonParams
-    grid: np.ndarray
-    values: np.ndarray
-    refined_extrema: tuple = field(default=())
-
-    def band(self, k: int) -> np.ndarray:
-        return self.values[:, k + self.params.N]
-
-
-def band_table(params: RibbonParams, grid=None, xtol: float = A_RESOLUTION) -> BandTable:
-    """Sample all bands on the grid and refine each band's extrema."""
-    grid, values, x, fx = _scan_and_refine(params, grid, xtol, np.arange(params.p))
-    extrema = tuple(
-        ((float(x[0, j]), float(fx[0, j])), (float(x[1, j]), float(fx[1, j])))
-        for j in range(params.p)
-    )
-    return BandTable(params=params, grid=grid, values=values,
-                     refined_extrema=extrema)
 
 
 @dataclass(frozen=True)
@@ -164,21 +136,21 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
                           multiplicity_windows=tuple(windows))
 
 
-def spectrum_report(
-    params: RibbonParams, grid=None, flat_tol: float | None = None
-) -> SpectrumReport:
+def spectrum_report(params: RibbonParams, grid=None) -> SpectrumReport:
     """Measure every band interval and assemble gaps/windows; raises
-    NumericalError when the band edges span beyond float64 range."""
-    if flat_tol is None:
-        flat_tol = 1e-10 * max(1.0, float(np.max(np.abs(params.v))))
-    elif flat_tol <= 0:
-        raise ConfigError(f"flat_tol must be positive, got {flat_tol}")
-    rows = []
-    for j, ((_, lo), (_, hi)) in enumerate(band_table(params, grid).refined_extrema):
-        rows.append((j - params.N, lo, hi, hi - lo <= flat_tol))
+    NumericalError when the band edges span beyond float64 range.
+
+    Band k = 0 is flat exactly when flat_band_criterion holds; no band is
+    judged flat by its measured width.
+    """
+    fx = _scan_and_refine(params, grid, np.arange(params.p))
+    flat = flat_band_criterion(params)
+    rows = [(j - params.N, float(fx[0, j]), float(fx[1, j]), flat and j == params.N)
+            for j in range(params.p)]
     if rows[-1][2] - rows[0][1] == float("inf"):
         raise NumericalError("band edges span beyond float64 range")
-    return _report_from_intervals(rows, flat_tol)
+    edge_tol = 1e-10 * max(1.0, float(np.max(np.abs(params.v))))
+    return _report_from_intervals(rows, edge_tol)
 
 
 def unperturbed_spectrum(N: int) -> SpectrumReport:

@@ -2,15 +2,23 @@
 
     ribbonband bands|flatband|asymptotics|verify [flags]
 
-Flags: --N, --potential <name|path|comma-list>, --grid, --t, --mode,
---out, --format csv|json, --config <file>, plus --m/--L for flatband.
-A config file is flat ``key = value`` text; command-line flags override
-file values.  Exit codes: 0 ok, 1 verification failure, 2 config error,
-3 numerical error, 4 criterion violation.
+Each subcommand accepts only the flags it reads (_COMMANDS):
 
-Numbers are serialized with 15 significant digits, fixed-point down to
-magnitude 1e-4 and scientific below, so identical configs give
-byte-identical output.
+    bands        --N --potential --grid --format --out --config
+    flatband     --N --potential --m --L --format --out --config
+    asymptotics  --N --potential --mode --t --out --config
+    verify       --format --out --config
+
+--potential takes <name|path|comma-list>, --format csv|json.  A config
+file is flat ``key = value`` text whose keys are the same flag names;
+command-line flags override file values, and a flag or key the
+subcommand does not read is a config error.  Exit codes: 0 ok,
+1 verification failure, 2 config error, 3 numerical error, 4 criterion
+violation.
+
+Numbers are serialized with 15 significant digits, fixed-point for
+magnitudes in [1e-4, 1e15) and scientific otherwise, so identical configs
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,36 +43,42 @@ from .asymptotics import (
     weak_field_center,
     weak_field_edges,
 )
-from .bands import band_interval, flat_band_criterion, spectrum_report
+from .bands import (
+    DEFAULT_GRID_POINTS,
+    band_interval,
+    default_grid,
+    flat_band_criterion,
+    spectrum_report,
+)
 from .errors import (
     BoundaryClashError,
     ConfigError,
     CriterionViolation,
     NumericalError,
 )
-from .jacobi import (
-    JacobiMatrix,
-    a_of_t,
-    eigenvalues,
-    eigenvalues_batch,
-    jacobi_matrix,
-    unperturbed_eigenvalue,
-)
+from .jacobi import eigenvalues_batch, unperturbed_eigenvalue
 from .lattice import RibbonParams, flat_band_vector, verify_flat_eigen
-from .oracle import compare_multisets, periodic_ribbon_spectrum
+from .oracle import bloch_union_spectrum, compare_multisets, periodic_ribbon_spectrum
 
 
 def fmt15(x: float) -> str:
-    """15 significant digits; fixed notation for |x| >= 1e-4 (and 0)."""
+    """15 significant digits; fixed notation for 1e-4 <= |x| < 1e15 (and 0),
+    scientific otherwise."""
     x = float(x)
     if not math.isfinite(x):
         raise NumericalError(f"non-finite result {x}")
     if x == 0.0:
         return "0.00000000000000"
     ax = abs(x)
-    if ax >= 1e-4:
-        lead = int(math.floor(math.log10(ax))) + 1
-        return f"{x:.{max(15 - lead, 0)}f}"
+    if 1e-4 <= ax < 1e15:
+        lg = math.log10(ax)
+        lead = math.floor(lg)  # decimal exponent of the leading digit
+        if not 1e-14 < lg - lead < 1.0 - 1e-14:
+            # near a power of ten log10 may round across it, and rounding
+            # to 15 digits may carry into it: take the rounded exponent
+            lead = int(f"{x:.14e}"[-3:])
+        if lead < 15:
+            return f"{x:.{14 - lead}f}"
     return f"{x:.14e}"
 
 
@@ -82,7 +97,7 @@ def resolve_potential(text: str, N: int) -> np.ndarray:
     a comma-separated list of p reals; or a path to a file of numbers.
     Separators in named forms may be space, '=' or ':'.
     """
-    p = 2 * N + 1
+    p = RibbonParams(N).p  # rejects a bad N before it sizes the potential
     t = text.strip()
     if t == "zero":
         return np.zeros(p)
@@ -128,88 +143,95 @@ def resolve_potential(text: str, N: int) -> np.ndarray:
     )
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration (file values overridden by flags)."""
-
-    N: int = 1
-    potential: str = "zero"
-    grid_points: int = 401
-    t: float | None = None
-    mode: str | None = None
-    output_format: str = "csv"
-    output_path: str | None = None
-    params: RibbonParams = field(init=False)
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise ConfigError(
-                f"grid_points must be odd and >= 3, got {self.grid_points}"
-            )
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.output_format}")
-        self.params = RibbonParams(N=self.N, v=resolve_potential(self.potential, self.N))
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 2.0, self.grid_points)
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(text)
+    return text
 
 
-_CONFIG_KEYS = {
-    "N": ("N", int),
-    "potential": ("potential", str),
-    "grid": ("grid_points", int),
-    "grid_points": ("grid_points", int),
-    "t": ("t", float),
-    "mode": ("mode", str),
-    "format": ("output_format", str),
-    "output_format": ("output_format", str),
-    "out": ("output_path", str),
-    "output_path": ("output_path", str),
+# Every flag a subcommand can read: name -> (cast, help).  The same names
+# are the config-file keys.
+_FLAGS = {
+    "N": (int, "ribbon half-width (default 1)"),
+    "potential": (str, "zero | ramp | constant-field EPS | linear-odd EPS | "
+                       "comma-list | file path (default zero)"),
+    "grid": (int, f"a-grid points, odd and >= 3 (default {DEFAULT_GRID_POINTS})"),
+    "mode": (str, "weak | edges | constant-field | strong"),
+    "t": (float, "strong-field coupling"),
+    "m": (int, "anchor cell (default N)"),
+    "L": (int, "section length (default 2N+4)"),
+    "format": (_format, "csv | json (default csv)"),
+    "out": (str, "output path (default stdout)"),
+}
+
+# subcommand -> (help, the flags it reads)
+_COMMANDS = {
+    "bands": ("band table CSV + spectrum report",
+              ("N", "potential", "grid", "format", "out")),
+    "flatband": ("flat-band eigenvector dump",
+                 ("N", "potential", "m", "L", "format", "out")),
+    "asymptotics": ("prediction-vs-measurement table",
+                    ("N", "potential", "mode", "t", "out")),
+    "verify": ("self-verification suite", ("format", "out")),
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+@dataclass
+class RunConfig:
+    """Resolved run configuration (file values overridden by flags); the
+    fields are the flag names."""
+
+    N: int = 1
+    potential: str = "zero"
+    grid: int = DEFAULT_GRID_POINTS
+    mode: str | None = None
+    t: float | None = None
+    m: int | None = None
+    L: int | None = None
+    format: str = "csv"
+    out: str | None = None
+
+    @cached_property
+    def params(self) -> RibbonParams:
+        return RibbonParams(N=self.N, v=resolve_potential(self.potential, self.N))
+
+
+def parse_config_file(path: str, command: str) -> dict:
+    """Flat key = value lines, '#' starting a comment; the keys are the
+    names of the flags the command reads.  Values are returned as text."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} not found")
+    keys = _COMMANDS[command][1]
     out: dict = {}
-    for lineno, line in enumerate(open(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        dest, cast = _CONFIG_KEYS[key]
-        try:
-            out[dest] = cast(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: {command} does not read key "
+                                  f"{key!r} (it reads {', '.join(keys)})")
+            out[key] = value.strip()
     return out
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for flag, dest in (
-        ("N", "N"),
-        ("potential", "potential"),
-        ("grid", "grid_points"),
-        ("t", "t"),
-        ("mode", "mode"),
-        ("format", "output_format"),
-        ("out", "output_path"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[dest] = v
+    """Config-file values overridden by flags, each cast once."""
+    text = parse_config_file(args.config, args.command) if args.config else {}
+    for flag in _COMMANDS[args.command][1]:
+        if getattr(args, flag) is not None:
+            text[flag] = getattr(args, flag)
+    values = {}
+    for key, raw in text.items():
+        cast, help_text = _FLAGS[key]
+        try:
+            values[key] = cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {raw!r} for {key}: {help_text}") from exc
     return RunConfig(**values)
 
 
@@ -217,8 +239,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # bands
 # ---------------------------------------------------------------------------
 
-def _report_dict(config: RunConfig) -> dict:
-    rep = spectrum_report(config.params, config.grid)
+def _report_dict(params: RibbonParams, grid: np.ndarray) -> dict:
+    rep = spectrum_report(params, grid)
     bands = []
     for k, lo, hi, is_flat in rep.bands:
         row = {"k": k, "lo": lo, "hi": hi, "flat": bool(is_flat)}
@@ -226,7 +248,7 @@ def _report_dict(config: RunConfig) -> dict:
             row["value"] = 0.5 * lo + 0.5 * hi
         bands.append(row)
     return {
-        "N": config.N,
+        "N": params.N,
         "bands": bands,
         "gaps": [list(g) for g in rep.gaps],
         "multiplicity_windows": [
@@ -254,24 +276,26 @@ def _report_text(report: dict) -> str:
 
 def cmd_bands(config: RunConfig) -> tuple[str, dict]:
     """Band CSV (one row per grid point) plus the spectrum report."""
-    grid = config.grid
-    values = eigenvalues_batch(config.params, grid)
-    N = config.N
+    params, grid = config.params, default_grid(config.grid)
+    values = eigenvalues_batch(params, grid)
+    N = params.N
     header = "a," + ",".join(f"lambda_{k}" for k in range(-N, N + 1))
     rows = [header]
     for i, a in enumerate(grid):
         rows.append(",".join([fmt15(a)] + [fmt15(x) for x in values[i]]))
     csv_text = "\n".join(rows) + "\n"
-    return csv_text, _report_dict(config)
+    return csv_text, _report_dict(params, grid)
 
 
 # ---------------------------------------------------------------------------
 # flatband
 # ---------------------------------------------------------------------------
 
-def cmd_flatband(config: RunConfig, m: int, L: int) -> dict:
+def cmd_flatband(config: RunConfig) -> dict:
     """Flat-band eigenvector rows (exact integers) and verified residual."""
     params = config.params
+    m = params.N if config.m is None else config.m
+    L = 2 * params.N + 4 if config.L is None else config.L
     if not flat_band_criterion(params):
         odd = params.v[0::2]
         bad = int(np.nonzero(odd != params.v[0])[0][0])
@@ -326,20 +350,14 @@ def _asy_row(label, plo, phi, mlo, mhi) -> str:
     return ",".join(cells)
 
 
-def cmd_asymptotics(config: RunConfig, mode: str) -> str:
+def cmd_asymptotics(config: RunConfig) -> str:
     """Prediction-vs-measurement CSV for one asymptotic regime."""
-    if mode == "weak":
-        return _asy_weak(config)
-    if mode == "edges":
-        return _asy_edges(config)
-    if mode == "constant-field":
-        return _asy_constant_field(config)
-    if mode == "strong":
-        return _asy_strong(config)
-    raise ConfigError(
-        f"unknown asymptotics mode {mode!r}; pick weak, edges, constant-field "
-        "or strong"
-    )
+    modes = {"weak": _asy_weak, "edges": _asy_edges,
+             "constant-field": _asy_constant_field, "strong": _asy_strong}
+    if config.mode not in modes:
+        raise ConfigError(f"asymptotics needs --mode weak|edges|constant-field|"
+                          f"strong, got {config.mode!r}")
+    return modes[config.mode](config)
 
 
 def _asy_weak(config: RunConfig) -> str:
@@ -433,24 +451,12 @@ def _asy_strong(config: RunConfig) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-def _bloch_union(params: RibbonParams, L: int, corrupt: float) -> np.ndarray:
-    out = []
-    for j in range(L):
-        J = jacobi_matrix(params, float(a_of_t(2.0 * np.pi * j / L)))
-        if corrupt:
-            off = J.offdiag.copy()
-            off[0] += corrupt
-            J = JacobiMatrix(a=J.a, diag=J.diag, offdiag=off)
-        out.append(eigenvalues(J))
-    return np.sort(np.concatenate(out))
-
-
-def cmd_verify(config: RunConfig, offdiag_corruption: float = 0.0) -> tuple[bool, list]:
+def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
     """Self-verification suite; returns (all_passed, check rows).
 
-    offdiag_corruption is a test hook: a nonzero value breaks the
-    off-diagonal pattern on the tridiagonal side, which the axial-reduction
-    oracle must catch (negative control).
+    offdiag_shift is a test hook: a nonzero value breaks the off-diagonal
+    pattern on the tridiagonal side, which the axial-reduction oracle must
+    catch (negative control).
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -466,7 +472,7 @@ def cmd_verify(config: RunConfig, offdiag_corruption: float = 0.0) -> tuple[bool
         params = RibbonParams(N=N, v=v)
         rep = compare_multisets(
             periodic_ribbon_spectrum(params, L),
-            _bloch_union(params, L, offdiag_corruption),
+            bloch_union_spectrum(params, L, offdiag_shift=offdiag_shift),
             1e-8,
         )
         worst_unmatched = max(worst_unmatched, rep.unmatched_count)
@@ -578,103 +584,59 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--N", type=int, default=None, help="ribbon half-width")
-        sp.add_argument(
-            "--potential",
-            type=str,
-            default=None,
-            help="zero | ramp | constant-field EPS | linear-odd EPS | "
-            "comma-list | file path",
-        )
-        sp.add_argument("--grid", type=int, default=None,
-                        help="a-grid points (odd, >= 3; default 401)")
-        sp.add_argument("--t", type=float, default=None,
-                        help="strong-field coupling")
-        sp.add_argument("--mode", type=str, default=None,
-                        help="asymptotics mode: weak|edges|constant-field|strong")
-        sp.add_argument("--out", type=str, default=None, help="output path")
-        sp.add_argument("--format", type=str, default=None,
-                        choices=("csv", "json"), help="report format")
-        sp.add_argument("--config", type=str, default=None,
-                        help="flat key=value config file (flags override)")
-
-    common(sub.add_parser("bands", help="band table CSV + spectrum report"))
-
-    fb = sub.add_parser("flatband", help="flat-band eigenvector dump")
-    common(fb)
-    fb.add_argument("--m", type=int, default=None, help="anchor cell (default N)")
-    fb.add_argument("--L", type=int, default=None,
-                    help="section length (default 2N+4)")
-
-    common(sub.add_parser("asymptotics", help="prediction-vs-measurement table"))
-
-    vf = sub.add_parser("verify", help="self-verification suite")
-    common(vf)
-    vf.add_argument("--selftest-corrupt-offdiag", type=float, default=0.0,
-                    help=argparse.SUPPRESS)
+    for command, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", help=_FLAGS[flag][1])
+        sp.add_argument("--config", help="flat key = value file, keys named as "
+                        "the flags (flags override)")
+        if command == "verify":
+            sp.add_argument("--selftest-corrupt-offdiag", type=float, default=0.0,
+                            help=argparse.SUPPRESS)
     return parser
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
+        json_out = config.format == "json"
         if args.command == "bands":
             csv_text, report = cmd_bands(config)
-            report_text = (
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-                if config.output_format == "json"
-                else _report_text(report)
-            )
-            if config.output_path is None:
+            report_text = _json_text(report) if json_out else _report_text(report)
+            if config.out is None:
                 sys.stdout.write(csv_text)
                 sys.stderr.write(report_text)
             else:
-                _emit(csv_text, config.output_path)
-                ext = "json" if config.output_format == "json" else "txt"
-                _emit(report_text, config.output_path + f".report.{ext}")
+                _emit(csv_text, config.out)
+                _emit(report_text, config.out + (".report.json" if json_out
+                                                 else ".report.txt"))
             return 0
         if args.command == "flatband":
-            m = args.m if args.m is not None else config.N
-            L = args.L if args.L is not None else 2 * config.N + 4
-            result = cmd_flatband(config, m, L)
-            text = (
-                json.dumps(result, indent=2, sort_keys=True) + "\n"
-                if config.output_format == "json"
-                else _flatband_text(result)
-            )
-            _emit(text, config.output_path)
+            result = cmd_flatband(config)
+            _emit(_json_text(result) if json_out else _flatband_text(result),
+                  config.out)
             return 0
         if args.command == "asymptotics":
-            if config.mode is None:
-                raise ConfigError("asymptotics needs --mode "
-                                  "(weak|edges|constant-field|strong)")
-            _emit(cmd_asymptotics(config, config.mode), config.output_path)
+            _emit(cmd_asymptotics(config), config.out)
             return 0
-        if args.command == "verify":
-            ok, checks = cmd_verify(
-                config, offdiag_corruption=args.selftest_corrupt_offdiag
-            )
-            if config.output_format == "json":
-                payload = {
-                    "all_pass": ok,
-                    "checks": [
-                        {"name": n, "pass": p, "detail": d} for n, p, d in checks
-                    ],
-                }
-                _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      config.output_path)
-            else:
-                lines = [
-                    f"{'PASS' if p else 'FAIL'} {n}" + (f" ({d})" if d else "")
-                    for n, p, d in checks
-                ]
-                lines.append("all checks passed" if ok else "verification FAILED")
-                _emit("\n".join(lines) + "\n", config.output_path)
-            return 0 if ok else 1
-        raise ConfigError(f"unknown command {args.command!r}")
+        # verify
+        ok, checks = cmd_verify(offdiag_shift=args.selftest_corrupt_offdiag)
+        if json_out:
+            _emit(_json_text({
+                "all_pass": ok,
+                "checks": [{"name": n, "pass": p, "detail": d} for n, p, d in checks],
+            }), config.out)
+        else:
+            lines = [f"{'PASS' if p else 'FAIL'} {n}" + (f" ({d})" if d else "")
+                     for n, p, d in checks]
+            lines.append("all checks passed" if ok else "verification FAILED")
+            _emit("\n".join(lines) + "\n", config.out)
+        return 0 if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,9 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
   * construction of J_a and the t -> a map,
   * eigenvalues: closed form for the decoupled a = 0 blocks, LAPACK
     (numpy.linalg.eigvalsh) on dense stacks of J_a otherwise, one kernel
-    for single matrices and whole a grids; Sturm inertia counts,
-  * transfer matrices, monodromy, fundamental solutions of the
-    three-term recursion, and the cleared-denominator characteristic
-    polynomial (regular at a = 0),
+    for single matrices and whole a grids,
+  * eigenvalues with their a-slopes (Hellmann-Feynman, numpy.linalg.eigh),
+    for the refinement of band extrema,
   * closed-form eigenvalues at zero potential.
 """
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CriterionViolation, NumericalError
+from .errors import ConfigError, NumericalError
 from .lattice import RibbonParams
 
 _STACK_ENTRIES = 1 << 16  # float64 entries per LAPACK stack (512 KiB)
@@ -73,25 +72,19 @@ def jacobi_matrix(params: RibbonParams, a: float) -> JacobiMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: LAPACK on dense stacks, closed form at a = 0; Sturm counts
+# Eigenvalues: LAPACK on dense stacks, closed form at a = 0
 # ---------------------------------------------------------------------------
-
-def sturm_count(J: JacobiMatrix, x: float) -> int:
-    """Number of eigenvalues of J strictly below x (LDL^T inertia count)."""
-    counts = _sturm_counts_batch(
-        J.diag, (J.offdiag**2)[None, :], np.array([[float(x)]])
-    )
-    return int(counts[0, 0])
-
 
 def _sturm_counts_batch(diag: np.ndarray, bsq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Inertia counts, vectorized: bsq is (A, p-1), x is (A, m).
 
+    No solver calls this: eigenvalues come from LAPACK.  It stays only as
+    long as the benchmark's traced run names it (the jacobi.sturm.*
+    per-layer metrics, which perfbench/smoke_test.py requires to be
+    numbers); it goes with the next change to the benchmark.
+
     Zero pivots are pushed to -pivmin (counts the eigenvalue), the standard
     bisection-safe convention; overflow through 1/d is harmless for counting.
-    pivmin is the batch's largest, so a row counts exactly as it would
-    alone unless one of its pivots lands between its own pivmin and the
-    batch's (both at most 4e-290).
     """
     p = diag.shape[0]
     pivmin = 1e-290 * max(1.0, float(np.max(bsq, initial=0.0)))
@@ -222,110 +215,6 @@ def eigenvalues(J: JacobiMatrix) -> np.ndarray:
     decoupled blocks, everything else LAPACK.
     """
     return _eigvalsh(J.diag, J.offdiag[None, :])[0]
-
-
-# ---------------------------------------------------------------------------
-# Transfer matrices, monodromy, fundamental solutions
-# ---------------------------------------------------------------------------
-
-def _v_at(v: np.ndarray, j: int) -> float:
-    """1-based potential lookup with the wrap convention v_{p+1} = v_1."""
-    p = v.shape[0]
-    if j == p + 1:
-        return float(v[0])
-    return float(v[j - 1])
-
-
-def transfer_matrix(k: int, lam: float, a: float, v) -> np.ndarray:
-    """2x2 step matrix mapping (y_{2k-2}, y_{2k-1}) to (y_{2k}, y_{2k+1}).
-
-    Unimodular for every (lam, a>0, v); undefined at a = 0 (the decoupled
-    blocks carry that case).
-    """
-    v = np.asarray(v, dtype=float)
-    N = (v.shape[0] - 1) // 2
-    if a <= 0.0:
-        raise CriterionViolation("transfer matrices require a > 0")
-    if not 1 <= k <= N + 1:
-        raise ConfigError(f"step k={k} outside 1..{N + 1}")
-    vo = _v_at(v, 2 * k - 1)
-    ve = _v_at(v, 2 * k)
-    return (1.0 / a) * np.array(
-        [
-            [-1.0, lam - vo],
-            [ve - lam, (lam - ve) * (lam - vo) - a * a],
-        ]
-    )
-
-
-@dataclass(frozen=True)
-class Monodromy:
-    """Product T_k ... T_1; entries are fundamental-solution values
-    ((theta_{2k}, phi_{2k}), (theta_{2k+1}, phi_{2k+1}))."""
-
-    k: int
-    entries: np.ndarray
-
-
-def monodromy(k: int, lam: float, a: float, v) -> Monodromy:
-    M = np.eye(2)
-    for step in range(1, k + 1):
-        M = transfer_matrix(step, lam, a, v) @ M
-    return Monodromy(k=k, entries=M)
-
-
-def fundamental_solutions(lam: float, a: float, v) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions theta, phi of the three-term recursion, n = 0..p+1.
-
-    Both satisfy  a*y_{2k} = (lam - v_{2k-1})*y_{2k-1} - y_{2k-2}  and
-    y_{2k+1} = (lam - v_{2k})*y_{2k} - a*y_{2k-1} with initial data
-    theta_0 = 1, theta_1 = 0 and phi_0 = 0, phi_1 = 1, so the monodromy
-    columns are (theta, phi).  Requires a > 0.
-    """
-    v = np.asarray(v, dtype=float)
-    if a <= 0.0:
-        raise CriterionViolation("fundamental solutions require a > 0")
-    N = (v.shape[0] - 1) // 2
-    p = 2 * N + 1
-    theta = np.zeros(p + 2)
-    phi = np.zeros(p + 2)
-    theta[0], theta[1] = 1.0, 0.0
-    phi[0], phi[1] = 0.0, 1.0
-    for y in (theta, phi):
-        for k in range(1, N + 2):
-            vo = _v_at(v, 2 * k - 1)
-            ve = _v_at(v, 2 * k)
-            y[2 * k] = ((lam - vo) * y[2 * k - 1] - y[2 * k - 2]) / a
-            if 2 * k + 1 <= p + 1:
-                y[2 * k + 1] = (lam - ve) * y[2 * k] - a * y[2 * k - 1]
-    return theta, phi
-
-
-def _numerator_matrix(k: int, lam, a, v: np.ndarray) -> np.ndarray:
-    """a * T_k with polynomial entries (safe at a = 0)."""
-    vo = _v_at(v, 2 * k - 1)
-    ve = _v_at(v, 2 * k)
-    return np.array(
-        [
-            [-1.0, lam - vo],
-            [ve - lam, (lam - ve) * (lam - vo) - a * a],
-        ]
-    )
-
-
-def char_poly(lam: float, a: float, v) -> float:
-    """Characteristic polynomial of J_a, monic of degree p in lam.
-
-    Evaluated as the (0,1) entry of the product of the cleared step
-    matrices a*T_k, so a = 0 is regular; for a > 0 its zeros are exactly
-    the eigenvalues of J_a.
-    """
-    v = np.asarray(v, dtype=float)
-    N = (v.shape[0] - 1) // 2
-    M = np.eye(2)
-    for k in range(1, N + 2):
-        M = _numerator_matrix(k, lam, a, v) @ M
-    return float(M[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ with Dirichlet rows f_{n,0} = f_{n,p+1} = 0.  The transverse potential
 v_k is constant along the axis.  Only adjacency matters here; no vertex
 coordinates are materialized.
 
-This module owns finite sections of H, operator application, and the
+This module owns the ribbon parameters, finite sections of H, and the
 compactly supported eigenvectors of the flat band (zero-width band at
 v_1, present exactly when all odd potential entries equal v_1).
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundaryClashError, ConfigError, CriterionViolation
+from .errors import BoundaryClashError, ConfigError
 
 DENSE_SIZE_CAP = 10_000  # rows; finite sections are oracle-scale only
 
@@ -62,30 +62,6 @@ class RibbonParams:
     @property
     def p(self) -> int:
         return 2 * self.N + 1
-
-
-@dataclass(frozen=True)
-class RibbonState:
-    """Wavefunction on a finite section: values[n, k-1] = f_{n,k}."""
-
-    values: np.ndarray
-    boundary: str = PERIODIC
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] < 1:
-            raise ConfigError("state values must be a (L, p) array")
-        if self.boundary not in (PERIODIC, OPEN):
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def L(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
 
 
 def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
@@ -137,17 +113,6 @@ def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
     return H.tocsr()
 
 
-def apply_hamiltonian(H, state: RibbonState) -> RibbonState:
-    """Apply a finite-section Hamiltonian to a state (exact matvec)."""
-    L, p = state.values.shape
-    if H.shape != (L * p, L * p):
-        raise ConfigError(
-            f"dimension mismatch: H is {H.shape}, state is {L}x{p}"
-        )
-    out = H @ state.values.ravel()
-    return RibbonState(out.reshape(L, p), state.boundary)
-
-
 @dataclass(frozen=True)
 class FlatBandVector:
     """Compactly supported flat-band eigenvector anchored at cell m.
@@ -167,32 +132,20 @@ class FlatBandVector:
         sign = -1 if k % 2 else 1
         return [(self.m - j, sign * math.comb(k, j)) for j in range(k + 1)]
 
-    def to_state(self, L: int, boundary: str = OPEN) -> RibbonState:
-        """Materialize on a finite section of L cells.
-
-        Open sections require the support [m-N, m] to fit inside 0..L-1;
-        periodic sections wrap the positions mod L (needs L >= N+1 so the
-        wrapped support does not self-overlap).
-        """
-        p = 2 * self.N + 1
-        if boundary == OPEN:
-            if self.m - self.N < 0 or self.m >= L:
-                raise BoundaryClashError(
-                    f"support [{self.m - self.N}, {self.m}] leaves the open "
-                    f"section 0..{L - 1}"
-                )
-        elif boundary == PERIODIC:
-            if L < self.N + 1:
-                raise BoundaryClashError(
-                    f"L={L} wraps the support of width {self.N + 1} onto itself"
-                )
-        else:
-            raise ConfigError(f"unknown boundary {boundary!r}")
-        vals = np.zeros((L, p))
+    def to_state(self, L: int) -> np.ndarray:
+        """Materialize on an open section of L cells as an (L, p) array,
+        values[n, k-1] = f_{n,k}; the support [m-N, m] must fit inside
+        0..L-1."""
+        if self.m - self.N < 0 or self.m >= L:
+            raise BoundaryClashError(
+                f"support [{self.m - self.N}, {self.m}] leaves the open "
+                f"section 0..{L - 1}"
+            )
+        vals = np.zeros((L, 2 * self.N + 1))
         for k in range(self.N + 1):
             for n, c in self.row_entries(k):
-                vals[n % L, 2 * k] = float(c)
-        return RibbonState(vals, boundary)
+                vals[n, 2 * k] = float(c)
+        return vals
 
 
 def flat_band_vector(N: int, m: int) -> FlatBandVector:
@@ -212,44 +165,6 @@ def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> floa
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")
-    state = psi.to_state(L, OPEN)
-    H = build_ribbon(params, L, OPEN)
-    resid = apply_hamiltonian(H, state).values - params.v[0] * state.values
+    state = psi.to_state(L).ravel()
+    resid = build_ribbon(params, L, OPEN) @ state - params.v[0] * state
     return float(np.max(np.abs(resid)))
-
-
-def expand_in_flat_basis(params: RibbonParams, state: RibbonState) -> np.ndarray:
-    """Coefficients h with state = sum_m h[m] * psi^m, read off row 1.
-
-    The anchored vectors have a single +1 on row 1 at their anchor cell, so
-    h[m] = f_{m,1}.  Requires the state to lie in the flat-band eigenspace:
-    ||(H - v_1) f||_max <= 1e-10 ||f||_max.
-    """
-    if state.p != params.p:
-        raise ConfigError(
-            f"state width {state.p} does not match p={params.p}"
-        )
-    H = build_ribbon(params, state.L, state.boundary)
-    resid = apply_hamiltonian(H, state).values - params.v[0] * state.values
-    scale = np.max(np.abs(state.values))
-    if scale == 0.0:
-        return np.zeros(state.L)
-    if np.max(np.abs(resid)) > 1e-10 * scale:
-        raise CriterionViolation(
-            "state is not in the flat-band eigenspace "
-            f"(relative residual {np.max(np.abs(resid)) / scale:.3e})"
-        )
-    return state.values[:, 0].copy()
-
-
-def flat_basis_combination(
-    N: int, coeffs, L: int, boundary: str = PERIODIC
-) -> RibbonState:
-    """Materialize sum_m coeffs[m] * psi^m on a finite section."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (L,):
-        raise ConfigError(f"need one coefficient per cell, got {coeffs.shape}")
-    vals = np.zeros((L, 2 * N + 1))
-    for m in np.nonzero(coeffs)[0]:
-        vals += coeffs[m] * flat_band_vector(N, int(m)).to_state(L, boundary).values
-    return RibbonState(vals, boundary)

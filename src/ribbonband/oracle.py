@@ -94,18 +94,22 @@ def periodic_ribbon_spectrum(params: RibbonParams, L: int) -> np.ndarray:
     return dense_symmetric_eig(H.toarray())
 
 
-def bloch_union_spectrum(params: RibbonParams, L: int) -> np.ndarray:
+def bloch_union_spectrum(params: RibbonParams, L: int, *,
+                         offdiag_shift: float = 0.0) -> np.ndarray:
     """Union over t_j = 2*pi*j/L of the tridiagonal spectra, ascending.
 
     This is the L-cell discretization of the axial reduction: the same
     multiset as periodic_ribbon_spectrum, reached through the other solver.
+    offdiag_shift is added to the first off-diagonal of every J_a: a
+    negative control, which the two-route comparison must catch.
     """
     if L < 3:
         raise ConfigError(f"need L >= 3 quasimomenta, got {L}")
     out = []
     for j in range(L):
-        a = float(a_of_t(2.0 * np.pi * j / L))
-        out.append(eigenvalues(jacobi_matrix(params, a)))
+        J = jacobi_matrix(params, float(a_of_t(2.0 * np.pi * j / L)))
+        J.offdiag[0] += offdiag_shift
+        out.append(eigenvalues(J))
     return np.sort(np.concatenate(out))
 
 

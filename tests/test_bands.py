@@ -13,7 +13,6 @@ from ribbonband import (
     RibbonParams,
     band_function,
     band_interval,
-    band_table,
     default_grid,
     flat_band_criterion,
     eigenvalues_batch,
@@ -66,8 +65,9 @@ def test_default_grid_covers_parameter_range():
     g = default_grid()
     assert g[0] == 0.0 and g[-1] == 2.0
     assert len(g) == 401
-    with pytest.raises(ConfigError):
-        default_grid(2)
+    for points in (2, 4):  # fewer than 3, or even
+        with pytest.raises(ConfigError):
+            default_grid(points)
 
 
 def test_band_function_traces_one_eigenvalue_branch():
@@ -108,16 +108,6 @@ def test_band_interval_interior_minimum_is_refined():
     # minimum sqrt(3)/2; a coarse grid must still land on it via refinement
     lo, _ = band_interval(1, RibbonParams(N=2), grid=np.linspace(0, 2, 11))
     assert lo == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
-
-
-def test_band_table_holds_all_bands():
-    params = RibbonParams(N=2)
-    table = band_table(params, grid=np.linspace(0, 2, 51))
-    assert table.values.shape == (51, 5)
-    np.testing.assert_allclose(table.band(2), table.values[:, 4], atol=0)
-    assert len(table.refined_extrema) == 5
-    (_, lo), (_, hi) = table.refined_extrema[3]
-    assert (lo, hi) == pytest.approx((math.sqrt(3) / 2, math.sqrt(3)), abs=1e-8)
 
 
 def test_spectrum_report_smallest_ribbon():
@@ -176,6 +166,15 @@ def test_flat_band_does_not_split_the_gap():
     assert any(g[0] < 0.2 < g[1] for g in rep.gaps)
 
 
+def test_flat_only_where_the_criterion_holds():
+    # strong-field bands are narrower than 1e-10 * max|v| but not flat;
+    # with the criterion, band 0 alone is
+    ramp = spectrum_report(RibbonParams(N=1, v=1e6 * np.array([1.0, 2.0, 3.0])))
+    assert [b[3] for b in ramp.bands] == [False, False, False]
+    held = spectrum_report(RibbonParams(N=1, v=1e6 * np.array([1.0, 2.0, 1.0])))
+    assert [b[3] for b in held.bands] == [False, True, False]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_flatness_equivalence_on_random_potentials(seed):
@@ -204,11 +203,6 @@ def test_monotone_band_ordering_random_potential():
         [band_function(k, params, grid) for k in range(-3, 4)]
     )
     assert np.all(np.diff(values, axis=1) >= -1e-12)
-
-
-def test_spectrum_report_flat_tol_validation():
-    with pytest.raises(ConfigError):
-        spectrum_report(RibbonParams(N=1), flat_tol=-1.0)
 
 
 def test_report_merges_edges_within_edge_tol():
@@ -307,22 +301,22 @@ def _seeded_potentials():
                 yield RibbonParams(N=N, v=scale * v)
 
 
-def test_band_table_extrema_at_least_as_extreme_as_golden_reference():
+def test_report_edges_at_least_as_extreme_as_golden_reference():
     grid = default_grid()
     for params in _seeded_potentials():
-        table = band_table(params, grid)
+        bands = spectrum_report(params, grid).bands
+        values = eigenvalues_batch(params, grid)
         tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
-        for j in range(params.p):
+        for j, (_, lo, hi, _) in enumerate(bands):
             def f(a, j=j):
                 return float(eigenvalues_batch(params, [a], indices=[j])[0, 0])
 
-            col = table.values[:, j]
-            (_, lo), (_, hi) = table.refined_extrema[j]
+            col = values[:, j]
             assert lo <= _refine_scalar(f, grid, col, 1.0)[1] + tol
             assert hi >= _refine_scalar(f, grid, col, -1.0)[1] - tol
 
 
-def test_refine_extremum_steps_per_band_table(monkeypatch):
+def test_refine_extremum_steps_per_spectrum_report(monkeypatch):
     # a count, not a timing: golden section took about 35 batched steps
     import ribbonband.bands as bands_mod
 
@@ -338,7 +332,7 @@ def test_refine_extremum_steps_per_band_table(monkeypatch):
 
     monkeypatch.setattr(bands_mod, "refine_extremum", counted)
     for params in _seeded_potentials():
-        band_table(params)
+        spectrum_report(params)
     assert len(steps) == 36
     assert np.median(steps) <= 10
 

@@ -37,6 +37,18 @@ def test_fmt15_fixed_and_scientific():
             fmt15(bad)
 
 
+def test_fmt15_fifteen_digits_at_carry_and_large_values():
+    # rounding that carries into the next power of ten keeps 15 digits, and
+    # magnitudes from 1e15 up are scientific
+    assert fmt15(np.nextafter(1.0, 0.0)) == "1.00000000000000"
+    assert fmt15(-0.9999999999999998) == "-1.00000000000000"
+    assert fmt15(999999999999999.9) == "1.00000000000000e+15"
+    assert fmt15(1e15) == "1.00000000000000e+15"
+    assert fmt15(1e16) == "1.00000000000000e+16"
+    assert fmt15(1e308) == "1.00000000000000e+308"
+    assert fmt15(999.9999999999994) == "999.999999999999"
+
+
 def test_resolve_potential_named_forms():
     np.testing.assert_array_equal(resolve_potential("zero", 2), np.zeros(5))
     np.testing.assert_array_equal(
@@ -184,7 +196,7 @@ def test_asymptotics_requires_mode(capsys):
 
 def test_asymptotics_weak_table(capsys):
     code, out, _ = run(
-        ["asymptotics", "--N", "1", "--mode", "weak", "--grid", "101",
+        ["asymptotics", "--N", "1", "--mode", "weak",
          "--potential", "linear-odd 0.001"],
         capsys,
     )
@@ -214,7 +226,7 @@ def test_asymptotics_constant_field_table(capsys):
 def test_asymptotics_strong_table(capsys):
     code, out, _ = run(
         ["asymptotics", "--N", "1", "--mode", "strong", "--potential", "ramp",
-         "--t", "100", "--grid", "101"],
+         "--t", "100"],
         capsys,
     )
     assert code == 0
@@ -270,6 +282,29 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["bands", "--t", "1"], "--t", id="bands-t"),
+    pytest.param(["flatband", "--grid", "5"], "--grid", id="flatband-grid"),
+    pytest.param(["asymptotics", "--mode", "weak", "--grid", "101"], "--grid",
+                 id="asymptotics-grid"),
+    pytest.param(["asymptotics", "--mode", "weak", "--format", "json"], "--format",
+                 id="asymptotics-format"),
+    pytest.param(["verify", "--N", "2"], "--N", id="verify-N"),
+    pytest.param(["verify", "--config", "run.cfg"], "'N'", id="verify-config-key"),
+])
+def test_unread_flag_or_key_exits_2_and_names_it(argv, name, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = json\nN = 2\n")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name in err
+
+
 def test_invalid_arguments_exit_2(capsys):
     assert run(["bands", "--N", "0"], capsys)[0] == 2
     assert run(["bands", "--N", "2", "--grid", "4"], capsys)[0] == 2  # even grid
@@ -296,12 +331,11 @@ def test_overflowing_potential_exits_3(capsys):
     assert "numerical error" in err
 
 
-def test_bands_near_float_limit_exits_3_without_warning():
+def _exits_3_without_warning(argv):
     # a real process, so numpy warnings and tracebacks would reach stderr
     src = os.path.dirname(os.path.dirname(ribbonband.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "ribbonband.cli", "bands", "--N", "1",
-         "--potential=1e308,-1e308,1e308"],
+        [sys.executable, "-m", "ribbonband.cli", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -310,12 +344,22 @@ def test_bands_near_float_limit_exits_3_without_warning():
     assert "Traceback" not in proc.stderr
 
 
+def test_bands_near_float_limit_exits_3_without_warning():
+    _exits_3_without_warning(["bands", "--N", "1", "--potential=1e308,-1e308,1e308"])
+
+
+def test_weak_field_overflow_exits_3_without_warning():
+    # the first-order central band a^2-weighted sums overflow at 1e308
+    _exits_3_without_warning(["asymptotics", "--N", "1", "--mode", "weak",
+                              "--potential=1e308,1e308,1e308"])
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
 def test_bands_json_report_near_float_limit_is_standard_json(tmp_path, capsys):
-    # flat bands at 1e308: their value (lo + hi) / 2 must not overflow to
+    # a flat band at 1e308: its value (lo + hi) / 2 must not overflow to
     # Infinity, which json.dumps writes although it is not JSON
     out = tmp_path / "near"
     code, _, _ = run(["bands", "--N", "1", "--potential=1e308,1e308,1e308",
@@ -323,7 +367,8 @@ def test_bands_json_report_near_float_limit_is_standard_json(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "near.report.json").read_text(),
                         parse_constant=_no_constant)
-    assert [b["value"] for b in report["bands"]] == [1e308] * 3
+    assert [(b["k"], b["value"]) for b in report["bands"] if b["flat"]] == [(0, 1e308)]
+    assert [(b["lo"], b["hi"]) for b in report["bands"]] == [(1e308, 1e308)] * 3
 
 
 def test_bands_edge_span_beyond_float_range_exits_3(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tridiagonal family: the LAPACK kernel against the dense rotation oracle,
-Sturm counts, transfer/monodromy algebra, and the zero-potential closed
-forms."""
+the decoupled a = 0 blocks, and the zero-potential closed forms."""
 
 import math
 import warnings
@@ -12,26 +11,19 @@ from hypothesis import strategies as st
 
 from ribbonband import (
     ConfigError,
-    CriterionViolation,
     JacobiMatrix,
     NumericalError,
     RibbonParams,
     a_of_t,
-    char_poly,
     cos_node,
-    decoupled_eigenvalues,
     dense_symmetric_eig,
     eigenvalues,
     eigenvalues_batch,
-    fundamental_solutions,
     jacobi_matrix,
-    monodromy,
-    offdiag_pattern,
     sin_node,
-    sturm_count,
-    transfer_matrix,
     unperturbed_eigenvalue,
 )
+from ribbonband.jacobi import decoupled_eigenvalues, offdiag_pattern
 
 
 def test_a_of_t_special_values():
@@ -231,136 +223,6 @@ def test_eigenvalues_respect_actual_offdiagonals():
         dense_symmetric_eig(corrupted.dense()),
         atol=1e-10,
     )
-
-
-def test_sturm_count_steps_at_eigenvalues():
-    J = jacobi_matrix(RibbonParams(N=1), 1.0)  # spectrum {-sqrt2, 0, sqrt2}
-    assert sturm_count(J, -1.5) == 0
-    assert sturm_count(J, -1.0) == 1
-    assert sturm_count(J, 0.5) == 2
-    assert sturm_count(J, 3.0) == 3
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(-3, 3, allow_nan=False),
-    st.floats(0.05, 2, allow_nan=False),
-    st.integers(0, 10_000),
-)
-def test_transfer_matrices_are_unimodular(lam, a, seed):
-    rng = np.random.default_rng(seed)
-    N = int(rng.integers(1, 4))
-    v = rng.uniform(-2, 2, 2 * N + 1)
-    for k in range(1, N + 2):
-        T = transfer_matrix(k, lam, a, v)
-        assert abs(np.linalg.det(T) - 1.0) <= 1e-10
-
-
-def test_transfer_matrix_validations():
-    v = np.zeros(3)
-    with pytest.raises(CriterionViolation):
-        transfer_matrix(1, 0.0, 0.0, v)
-    with pytest.raises(ConfigError):
-        transfer_matrix(3, 0.0, 1.0, v)  # k beyond N+1
-
-
-def test_monodromy_single_step_entries():
-    # M_1 = T_1 and its columns hold the two fundamental solutions
-    lam, a = 0.3, 0.8
-    v = np.array([0.1, -0.2, 0.4])
-    M = monodromy(1, lam, a, v)
-    T = transfer_matrix(1, lam, a, v)
-    np.testing.assert_allclose(M.entries, T, atol=1e-15)
-    theta, phi = fundamental_solutions(lam, a, v)
-    np.testing.assert_allclose(
-        M.entries, [[theta[2], phi[2]], [theta[3], phi[3]]], atol=1e-13
-    )
-
-
-def test_monodromy_composes_transfer_matrices():
-    lam, a = -0.7, 1.3
-    v = np.array([0.3, 0.1, -0.4, 0.2, 0.6])
-    M = monodromy(2, lam, a, v)
-    T2T1 = transfer_matrix(2, lam, a, v) @ transfer_matrix(1, lam, a, v)
-    np.testing.assert_allclose(M.entries, T2T1, atol=1e-13)
-
-
-def test_fundamental_solution_initial_values():
-    theta, phi = fundamental_solutions(0.5, 1.0, np.zeros(3))
-    assert (theta[0], theta[1]) == (1.0, 0.0)
-    assert (phi[0], phi[1]) == (0.0, 1.0)
-
-
-def test_fundamental_solution_recursion_against_direct_recurrence():
-    # yy check: y_{2k} = ((lam - v_{2k-1}) y_{2k-1} - y_{2k-2}) / a,
-    #           y_{2k+1} = (lam - v_{2k}) y_{2k} - a y_{2k-1}
-    rng = np.random.default_rng(9)
-    lam, a = 0.37, 1.21
-    v = rng.uniform(-1, 1, 5)
-    vv = np.concatenate([v, v[:1]])  # wrap v_{p+1} = v_1
-
-    def direct(y0, y1):
-        y = [y0, y1]
-        for k in range(1, 4):
-            y.append(((lam - vv[2 * k - 2]) * y[2 * k - 1] - y[2 * k - 2]) / a)
-            if 2 * k + 1 <= 6:
-                y.append((lam - vv[2 * k - 1]) * y[2 * k] - a * y[2 * k - 1])
-        return np.array(y[:7])
-
-    theta, phi = fundamental_solutions(lam, a, v)
-    np.testing.assert_allclose(theta, direct(1.0, 0.0), atol=1e-12)
-    np.testing.assert_allclose(phi, direct(0.0, 1.0), atol=1e-12)
-
-
-def test_phi_odd_entries_at_zero_energy():
-    # with v = 0 and lam = 0 the odd entries collapse to powers of -a
-    a = 0.9
-    _, phi = fundamental_solutions(0.0, a, np.zeros(5))
-    for k in range(0, 4):
-        if 2 * k + 1 <= 6:
-            assert phi[2 * k + 1] == pytest.approx((-a) ** k, rel=1e-13)
-
-
-def test_phi_even_entries_zero_potential_closed_form():
-    # even entries follow a Chebyshev-like angle recursion
-    a, lam = 1.0, 1.0
-    _, phi = fundamental_solutions(lam, a, np.zeros(5))
-    # 2 cos(xi) = lam^2/a - a - 1/a = -1  ->  xi = 2 pi / 3
-    xi = 2 * np.pi / 3
-    for k in (1, 2, 3):
-        expected = (lam / a) * np.sin(k * xi) / np.sin(xi)
-        assert phi[2 * k] == pytest.approx(expected, abs=1e-13)
-
-
-def test_char_poly_matches_determinant():
-    rng = np.random.default_rng(17)
-    for N in (1, 2, 3):
-        v = rng.uniform(-1, 1, 2 * N + 1)
-        params = RibbonParams(N=N, v=v)
-        for a in (0.0, 0.6, 1.7):
-            JD = jacobi_matrix(params, a).dense()
-            for lam in (-1.3, 0.0, 0.4, 2.1):
-                det = np.linalg.det(lam * np.eye(2 * N + 1) - JD)
-                assert char_poly(lam, a, v) == pytest.approx(
-                    det, rel=1e-10, abs=1e-10
-                )
-
-
-def test_char_poly_cubic_zero_potential():
-    # N=1, v=0: monic cubic lam^3 - (a^2+1) lam
-    for a in (0.0, 0.5, 2.0):
-        for lam in (-2.0, -0.3, 0.0, 1.1):
-            assert char_poly(lam, a, np.zeros(3)) == pytest.approx(
-                lam**3 - (a**2 + 1) * lam, abs=1e-12
-            )
-
-
-def test_char_poly_roots_are_eigenvalues():
-    v = np.array([0.2, -0.1, 0.3])
-    params = RibbonParams(N=1, v=v)
-    a = 1.4
-    for lam in eigenvalues(jacobi_matrix(params, a)):
-        assert abs(char_poly(float(lam), a, v)) <= 1e-9
 
 
 def test_nodes_and_unperturbed_values():

@@ -1,24 +1,16 @@
-"""Ribbon assembly, the compactly supported flat-band vectors, and the
-basis expansion round trip."""
+"""Ribbon assembly and the compactly supported flat-band vectors."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ribbonband import (
     OPEN,
     PERIODIC,
     BoundaryClashError,
     ConfigError,
-    CriterionViolation,
     RibbonParams,
-    RibbonState,
-    apply_hamiltonian,
     build_ribbon,
-    expand_in_flat_basis,
     flat_band_vector,
-    flat_basis_combination,
     verify_flat_eigen,
 )
 
@@ -78,19 +70,6 @@ def test_build_ribbon_validations():
         build_ribbon(RibbonParams(N=200), 100)  # size cap
 
 
-def test_apply_hamiltonian_matches_matrix_action():
-    rng = np.random.default_rng(3)
-    params = RibbonParams(N=2, v=rng.uniform(-1, 1, 5))
-    L = 5
-    H = build_ribbon(params, L, boundary=PERIODIC)
-    vals = rng.standard_normal((L, params.p))
-    state = RibbonState(values=vals, boundary=PERIODIC)
-    out = apply_hamiltonian(H, state)
-    np.testing.assert_allclose(
-        out.values.ravel(), H @ vals.ravel(), atol=1e-14
-    )
-
-
 def test_flat_band_vector_rows_are_signed_binomials():
     psi = flat_band_vector(2, 3)
     assert psi.row_entries(0) == [(3, 1)]
@@ -99,14 +78,15 @@ def test_flat_band_vector_rows_are_signed_binomials():
 
 
 def test_flat_band_vector_even_rows_vanish():
-    state = flat_band_vector(2, 2).to_state(6, boundary=OPEN)
+    state = flat_band_vector(2, 2).to_state(6)
+    assert state.shape == (6, 5)
     # 0-based columns 1, 3 are the even sites of the cross-section
-    assert np.all(state.values[:, 1] == 0)
-    assert np.all(state.values[:, 3] == 0)
+    assert np.all(state[:, 1] == 0)
+    assert np.all(state[:, 3] == 0)
     # odd-site support sits in cells m-N..m = 0..2
-    assert np.all(state.values[3:] == 0)
-    assert np.any(state.values[0] != 0)
-    assert np.any(state.values[2] != 0)
+    assert np.all(state[3:] == 0)
+    assert np.any(state[0] != 0)
+    assert np.any(state[2] != 0)
 
 
 def test_verify_flat_eigen_is_exactly_zero():
@@ -132,58 +112,6 @@ def test_verify_flat_eigen_flags_violation_with_its_size():
 def test_flat_band_vector_boundary_clash():
     psi = flat_band_vector(2, 1)  # support would spill below cell 0
     with pytest.raises(BoundaryClashError):
-        psi.to_state(6, boundary=OPEN)
+        psi.to_state(6)
     with pytest.raises(BoundaryClashError):
-        flat_band_vector(1, 5).to_state(5, boundary=OPEN)  # anchor outside
-
-
-def test_flat_band_vector_periodic_wraps():
-    state = flat_band_vector(1, 0).to_state(4, boundary=PERIODIC)
-    # row 3 entries sit at cells 0 and -1 -> wrapped to 3
-    assert state.values[0, 2] == -1
-    assert state.values[3, 2] == -1
-    assert state.values[0, 0] == 1
-
-
-def test_flat_basis_combination_is_an_eigenstate():
-    params = RibbonParams(N=2, v=np.array([0.4, 1.0, 0.4, -1.0, 0.4]))
-    L = 7
-    coeffs = np.array([1.0, -2.0, 0.5, 0.0, 3.0, 1.0, -1.0])
-    state = flat_basis_combination(2, coeffs, L, boundary=PERIODIC)
-    H = build_ribbon(params, L, boundary=PERIODIC)
-    out = apply_hamiltonian(H, state)
-    np.testing.assert_allclose(
-        out.values, 0.4 * state.values, atol=1e-12
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.lists(
-        st.floats(-10, 10, allow_nan=False, width=32), min_size=4, max_size=9
-    ),
-)
-def test_expand_round_trip(N, coeffs):
-    L = len(coeffs)
-    if L < N + 1:
-        coeffs = coeffs + [0.0] * (N + 1 - L)
-        L = len(coeffs)
-    coeffs = np.asarray(coeffs, dtype=float)
-    state = flat_basis_combination(N, coeffs, L, boundary=PERIODIC)
-    recovered = expand_in_flat_basis(RibbonParams(N=N), state)
-    np.testing.assert_array_equal(recovered, coeffs)
-
-
-def test_expand_rejects_states_outside_the_flat_subspace():
-    params = RibbonParams(N=1)
-    vals = np.zeros((5, 3))
-    vals[2, 1] = 1.0  # even-site amplitude cannot come from flat vectors
-    with pytest.raises(CriterionViolation):
-        expand_in_flat_basis(params, RibbonState(values=vals, boundary=PERIODIC))
-
-
-def test_expand_accepts_the_zero_state():
-    params = RibbonParams(N=1)
-    state = RibbonState(values=np.zeros((4, 3)), boundary=PERIODIC)
-    np.testing.assert_array_equal(expand_in_flat_basis(params, state), np.zeros(4))
+        flat_band_vector(1, 5).to_state(5)  # anchor outside
