@@ -9,6 +9,8 @@ import numpy as np
 _ROUNDING = 16.0 * np.finfo(float).eps
 # Ratio of the geometric probes in a cell that starts at x = 0.
 _LADDER = 4.0
+# Width in x below which a bracket is not split further.
+_XTOL = 1e-10
 
 
 def _worth(xl, xr, gl, gr, dl, dr, level):
@@ -21,7 +23,7 @@ def _worth(xl, xr, gl, gr, dl, dr, level):
     return np.where(np.where(gl <= gr, dl < 0, dr > 0), 2, bent.astype(int))
 
 
-def refine_extremum(f, grid, values, xtol: float = 1e-10):
+def refine_extremum(f, grid, values):
     """Refine the minimum and the maximum of every sampled column.
 
     values[i, j] = f_j(grid[i]); f(cols, x) returns (f_cols[r](x[r]),
@@ -29,11 +31,11 @@ def refine_extremum(f, grid, values, xtol: float = 1e-10):
     minimum of -f_j.  Each extremum is probed in the grid cells around its
     arg-extremum, at the ends and the middle.  A cell from x = 0, where the
     even f_j has slope 0 and near-degenerate eigenvalues hide extrema at
-    every scale, is probed at its end over powers of _LADDER down to xtol.
+    every scale, is probed at its end over powers of _LADDER down to _XTOL.
     Probe pairs worth searching (_worth) become brackets, stepped together
     by an Illinois secant on the slope where the end slopes straddle 0,
     else by bisection; each keeps its more promising half until it is
-    xtol wide or max |slope| times its width is below the rounding level.
+    _XTOL wide or max |slope| times its width is below the rounding level.
     The most extreme evaluated point or grid sample is returned, so an
     extremum with no bracket, as at x = 2, costs one step.
 
@@ -54,7 +56,7 @@ def refine_extremum(f, grid, values, xtol: float = 1e-10):
         return sign[own] * val, sign[own] * slope
 
     lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)]
-    depth = np.ceil(np.log(np.maximum(hi / xtol, 1.0)) / np.log(_LADDER)).astype(int)
+    depth = np.ceil(np.log(np.maximum(hi / _XTOL, 1.0)) / np.log(_LADDER)).astype(int)
     count = np.where(lo == 0.0, depth + 1, 3)
     own = np.repeat(e, count)
     k = np.arange(own.size) - np.repeat(np.cumsum(count) - count, count)
@@ -69,7 +71,7 @@ def refine_extremum(f, grid, values, xtol: float = 1e-10):
     live, kept = np.ones(q.size, dtype=bool), np.full(q.size, -1)
 
     while True:
-        live &= (X[1] - X[0] > xtol) & (np.abs(D).max(axis=0) * (X[1] - X[0]) >= level)
+        live &= (X[1] - X[0] > _XTOL) & (np.abs(D).max(axis=0) * (X[1] - X[0]) >= level)
         act = np.flatnonzero(live)
         if not act.size:
             break
@@ -77,7 +79,7 @@ def refine_extremum(f, grid, values, xtol: float = 1e-10):
         x = 0.5 * L + 0.5 * R
         s = np.flatnonzero((D[0, act] < 0) & (D[1, act] > 0))
         frac = S[0, act[s]] / (S[0, act[s]] - S[1, act[s]])
-        x[s] = np.clip(L[s] + (R[s] - L[s]) * frac, L[s] + xtol / 2, R[s] - xtol / 2)
+        x[s] = np.clip(L[s] + (R[s] - L[s]) * frac, L[s] + _XTOL / 2, R[s] - _XTOL / 2)
         gx, dx = g(own[act], x)
         w1 = _worth(L, x, G[0, act], gx, D[0, act], dx, level)
         w2 = _worth(x, R, gx, G[1, act], dx, D[1, act], level)

@@ -12,8 +12,12 @@ Four regimes are covered:
     t*v_k with O(1/t) second-order corrections from the two neighboring
     sites.
 
-order_check estimates empirical convergence orders so each asymptotic
-claim can be validated against measured band data.
+order_check fits the empirical convergence order of an error under
+halvings of a scale, so each asymptotic claim can be validated against
+measured band data.  The result types carry only what their callers read:
+the predicted extrema (WeakFieldPrediction), the per-site corrections,
+bands and widths (StrongFieldEstimate), and the fitted slope
+(OrderEstimate).
 """
 
 from __future__ import annotations
@@ -64,16 +68,10 @@ def _center_and_slope(a, params: RibbonParams):
 
 @dataclass(frozen=True)
 class WeakFieldPrediction:
-    """First-order central band: samples of the predicted function and its
-    extrema over a in [0,2]."""
+    """First-order central band: its extrema over a in [0,2]."""
 
-    F_samples: np.ndarray
     lo: float
     hi: float
-
-    @property
-    def band0_width_firstorder(self) -> float:
-        return self.hi - self.lo
 
 
 def weak_field_edges(params: RibbonParams, grid=None) -> WeakFieldPrediction:
@@ -82,8 +80,7 @@ def weak_field_edges(params: RibbonParams, grid=None) -> WeakFieldPrediction:
     samples = weak_field_center(grid, params)
     _, fx = refine_extremum(lambda _, a: _center_and_slope(a, params),
                             grid, samples[:, None])
-    return WeakFieldPrediction(F_samples=samples, lo=float(fx[0, 0]),
-                               hi=float(fx[1, 0]))
+    return WeakFieldPrediction(lo=float(fx[0, 0]), hi=float(fx[1, 0]))
 
 
 def first_order_lower_edge(k: int, params: RibbonParams) -> float:
@@ -174,23 +171,17 @@ class StrongFieldEstimate:
     """Per-site band predictions for the Hamiltonian with potential t*v.
 
     Site k (1-based) hosts the band centered at t*v_k with second-order
-    corrections xi_minus/xi_plus from its two neighbors; the band estimate
-    is [t*v_k - max(xi)/t, t*v_k - min(xi)/t].  parity[k-1] = (-1)^k says
-    which end of the a range attains which correction (the a = 2 endpoint
-    carries the coupling-squared value 4).  The top site p has equal
-    corrections, so its predicted width vanishes at this order:
-    top_band_width_next_order is set and the true width is O(1/t^2).
+    corrections xi_minus (a = 0) and xi_plus (a = 2, where the a-bond
+    carries the coupling-squared value 4) from its two neighbors; the band
+    estimate is [t*v_k - max(xi)/t, t*v_k - min(xi)/t].  The top site p has
+    equal corrections, so its predicted width vanishes at this order and
+    the true width is O(1/t^2).
     """
 
-    t: float
-    centers: np.ndarray
     xi_minus: np.ndarray
     xi_plus: np.ndarray
     bands: tuple
     widths: np.ndarray
-    parity: np.ndarray
-    top_band_width_next_order: bool
-    disjoint_threshold: float
 
 
 def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
@@ -242,24 +233,8 @@ def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
         (float(centers[k] - lo_corr[k]), float(centers[k] - hi_corr[k]))
         for k in range(p)
     )
-    widths = lo_corr - hi_corr
-    parity = np.array([(-1) ** k for k in range(1, p + 1)])
-
-    half = np.maximum(np.abs(xi_minus), np.abs(xi_plus))
-    need = (half[:-1] + half[1:]) / spacing
-    disjoint_threshold = float(np.sqrt(np.max(need))) if np.max(need) > 0 else 0.0
-
-    return StrongFieldEstimate(
-        t=float(t),
-        centers=centers,
-        xi_minus=xi_minus,
-        xi_plus=xi_plus,
-        bands=bands,
-        widths=widths,
-        parity=parity,
-        top_band_width_next_order=True,
-        disjoint_threshold=disjoint_threshold,
-    )
+    return StrongFieldEstimate(xi_minus=xi_minus, xi_plus=xi_plus, bands=bands,
+                               widths=lo_corr - hi_corr)
 
 
 @dataclass(frozen=True)
@@ -269,8 +244,6 @@ class OrderEstimate:
     slope: float | None
     residual: float
     exact: bool
-    scales: np.ndarray
-    errors: np.ndarray
 
 
 def order_check(observable, eps0: float, halvings: int) -> OrderEstimate:
@@ -289,9 +262,7 @@ def order_check(observable, eps0: float, halvings: int) -> OrderEstimate:
         raise ConfigError("observable returned non-finite error")
     errors = np.abs(errors)
     if np.any(errors < 1e-300):
-        return OrderEstimate(slope=None, residual=0.0, exact=True,
-                             scales=scales, errors=errors)
+        return OrderEstimate(slope=None, residual=0.0, exact=True)
     coeffs, res = np.polyfit(np.log(scales), np.log(errors), 1, full=True)[:2]
     residual = float(np.sqrt(res[0] / len(scales))) if len(res) else 0.0
-    return OrderEstimate(slope=float(coeffs[0]), residual=residual, exact=False,
-                         scales=scales, errors=errors)
+    return OrderEstimate(slope=float(coeffs[0]), residual=residual, exact=False)

@@ -31,7 +31,6 @@ from .jacobi import (
 from .lattice import RibbonParams
 
 DEFAULT_GRID_POINTS = 401
-A_RESOLUTION = 1e-10
 
 
 def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -64,7 +63,7 @@ def _scan_and_refine(params: RibbonParams, grid, indices):
     def f(cols, a):
         return _eigenvalue_slopes(params, a, indices[cols])
 
-    return refine_extremum(f, grid, values, A_RESOLUTION)[1]
+    return refine_extremum(f, grid, values)[1]
 
 
 def band_interval(k: int, params: RibbonParams, grid=None) -> tuple[float, float]:
@@ -174,5 +173,4 @@ def unperturbed_spectrum(N: int) -> SpectrumReport:
             rows.append((k, lo, hi, False))
         else:
             rows.append((k, -hi, -lo, False))
-    rows.sort(key=lambda r: r[0])
     return _report_from_intervals(rows)

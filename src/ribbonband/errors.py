@@ -11,7 +11,9 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative routine failed to converge within its cap."""
+    """A computation failed: a result beyond float64 range (eigenvalue, band
+    edge or prediction), a failed LAPACK solve, rotation sweeps beyond their
+    cap, or a drifted normalization check."""
 
 
 class CriterionViolation(ValueError):

@@ -5,12 +5,14 @@ the quasimomentum t of p x p symmetric tridiagonal matrices J_a with
 a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 (a, 1, a, 1, ..., a, 1).  This module owns:
 
-  * construction of J_a and the t -> a map,
+  * construction of J_a and the t -> a map, the off-diagonal pattern
+    written once (_offdiagonals),
   * eigenvalues: closed form for the decoupled a = 0 blocks, LAPACK
     (numpy.linalg.eigvalsh) on dense stacks of J_a otherwise, one kernel
     for single matrices and whole a grids,
   * eigenvalues with their a-slopes (Hellmann-Feynman, numpy.linalg.eigh),
-    for the refinement of band extrema,
+    for the refinement of band extrema; both LAPACK routes share one
+    stack loop (_solve_stacks),
   * closed-form eigenvalues at zero potential.
 """
 
@@ -42,13 +44,6 @@ class JacobiMatrix:
     def p(self) -> int:
         return self.diag.shape[0]
 
-    def dense(self) -> np.ndarray:
-        M = np.diag(self.diag)
-        idx = np.arange(self.p - 1)
-        M[idx, idx + 1] = self.offdiag
-        M[idx + 1, idx] = self.offdiag
-        return M
-
 
 def a_of_t(t):
     """Map quasimomentum t to the off-diagonal parameter a = 2|cos(t/2)|."""
@@ -56,11 +51,9 @@ def a_of_t(t):
     return 2.0 * np.abs(np.cos(0.5 * t))
 
 
-def offdiag_pattern(p: int, a: float) -> np.ndarray:
-    out = np.empty(p - 1)
-    out[0::2] = a
-    out[1::2] = 1.0
-    return out
+def _offdiagonals(p: int, a_values) -> np.ndarray:
+    """Off-diagonals (a, 1, a, 1, ...) of the p x p J_a, one row per a."""
+    return np.where(np.arange(p - 1) % 2 == 0, np.c_[a_values], 1.0)
 
 
 def jacobi_matrix(params: RibbonParams, a: float) -> JacobiMatrix:
@@ -68,7 +61,7 @@ def jacobi_matrix(params: RibbonParams, a: float) -> JacobiMatrix:
     if not 0.0 <= a <= 2.0:
         raise ConfigError(f"a={a} outside [0, 2]")
     return JacobiMatrix(a=float(a), diag=params.v.copy(),
-                        offdiag=offdiag_pattern(params.p, float(a)))
+                        offdiag=_offdiagonals(params.p, [float(a)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +104,38 @@ def _tridiagonal_stack(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return M
 
 
+def _solve_stacks(solve, diag: np.ndarray, off: np.ndarray):
+    """Yield (rows, solve(stack)) over the tridiagonal matrices (diag, off[r])
+    in dense stacks of at most _STACK_ENTRIES entries; solve is
+    numpy.linalg.eigvalsh or numpy.linalg.eigh, which solves each matrix
+    on its own.  Raises NumericalError on a failed solve."""
+    step = max(1, _STACK_ENTRIES // diag.shape[0] ** 2)
+    for s in range(0, off.shape[0], step):
+        rows = slice(s, s + step)
+        try:
+            result = solve(_tridiagonal_stack(diag, off[rows]))
+        except np.linalg.LinAlgError as exc:  # NaN entries
+            raise NumericalError(f"LAPACK eigensolve failed: {exc}") from exc
+        yield rows, result
+
+
 def _eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """All eigenvalues of each tridiagonal matrix (diag, off[r]), (rows, p).
 
     Rows whose off-diagonals are exactly the a = 0 pattern take the closed
     form (exact multiplicities); the rest go to LAPACK
-    (numpy.linalg.eigvalsh) in dense stacks of at most _STACK_ENTRIES
-    entries.  Each matrix is solved on its own, so a row's values do not
+    (numpy.linalg.eigvalsh) through _solve_stacks, so a row's values do not
     depend on the rows beside it.  Raises NumericalError on a non-finite
     eigenvalue or a failed solve.
     """
     p = diag.shape[0]
     out = np.empty((off.shape[0], p))
-    decoupled = np.all(off == offdiag_pattern(p, 0.0), axis=1)
+    decoupled = np.all(off == _offdiagonals(p, [0.0]), axis=1)
     if decoupled.any():
         out[decoupled] = decoupled_eigenvalues(RibbonParams(N=(p - 1) // 2, v=diag))
     general = np.flatnonzero(~decoupled)
-    step = max(1, _STACK_ENTRIES // (p * p))
-    for s in range(0, general.size, step):
-        r = general[s : s + step]
-        try:
-            out[r] = np.linalg.eigvalsh(_tridiagonal_stack(diag, off[r]))
-        except np.linalg.LinAlgError as exc:  # NaN entries
-            raise NumericalError(f"LAPACK eigensolve failed: {exc}") from exc
+    for rows, w in _solve_stacks(np.linalg.eigvalsh, diag, off[general]):
+        out[general[rows]] = w
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
     return out
@@ -146,15 +148,9 @@ def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
     psi_j psi_{j+1} (Hellmann-Feynman), psi from the same numpy.linalg.eigh
     call.  Raises NumericalError on a non-finite result or a failed solve.
     """
-    off = np.where(np.arange(params.p - 1) % 2 == 0, np.c_[a_values], 1.0)
+    off = _offdiagonals(params.p, a_values)
     lam, slope = np.empty(off.shape[0]), np.empty(off.shape[0])
-    step = max(1, _STACK_ENTRIES // params.p**2)
-    for s in range(0, off.shape[0], step):
-        r = slice(s, s + step)
-        try:
-            w, V = np.linalg.eigh(_tridiagonal_stack(params.v, off[r]))
-        except np.linalg.LinAlgError as exc:  # NaN entries
-            raise NumericalError(f"LAPACK eigensolve failed: {exc}") from exc
+    for r, (w, V) in _solve_stacks(np.linalg.eigh, params.v, off):
         rows, k = np.arange(w.shape[0]), indices[r]
         psi = V[rows, :, k]
         lam[r] = w[rows, k]
@@ -167,27 +163,21 @@ def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
 def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.ndarray:
     """Eigenvalues of J_a for every a in a_values, ascending in each row.
 
-    Returns shape (len(a_values), p); with indices, a 1-D list of m indices
-    is shared by every row and a 2-D (len(a_values), m) array picks each
-    row's own, giving (len(a_values), m).
+    Returns shape (len(a_values), p); with a 1-D list of m indices, shared
+    by every row, (len(a_values), m).
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if not np.all((a_values >= 0) & (a_values <= 2)):
         raise ConfigError("a values must lie in [0, 2]")
-    p, A = params.p, a_values.shape[0]
+    p = params.p
     if indices is not None:
         idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        if idx.ndim != 1:
+            raise ConfigError(f"indices must be 1-D, got shape {idx.shape}")
         if np.any((idx < 0) | (idx >= p)):
             raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
-        if idx.ndim > 2 or (idx.ndim == 2 and idx.shape[0] != A):
-            raise ConfigError(f"indices must be 1-D or ({A}, m), got shape {idx.shape}")
-    off = np.where(np.arange(p - 1) % 2 == 0, a_values[:, None], 1.0)
-    vals = _eigvalsh(params.v, off)
-    if indices is None:
-        return vals
-    if idx.ndim == 1:
-        return vals[:, idx]
-    return np.take_along_axis(vals, idx, axis=1)
+    vals = _eigvalsh(params.v, _offdiagonals(p, a_values))
+    return vals if indices is None else vals[:, idx]
 
 
 def decoupled_eigenvalues(params: RibbonParams) -> np.ndarray:

@@ -84,8 +84,6 @@ def dense_symmetric_eig(M) -> np.ndarray:
 
 def periodic_ribbon_spectrum(params: RibbonParams, L: int) -> np.ndarray:
     """All L*p eigenvalues of the periodic L-cell section, ascending."""
-    if L < 3:
-        raise ConfigError(f"periodic section needs L >= 3, got {L}")
     if L * params.p > ORACLE_SIZE_CAP:
         raise ConfigError(
             f"oracle section size {L * params.p} beyond {ORACLE_SIZE_CAP}"

@@ -137,8 +137,6 @@ def test_weak_field_edges_prediction_object():
     # F is monotone between v1 and v3 here
     assert pred.lo == pytest.approx(1e-3, rel=1e-10)
     assert pred.hi == pytest.approx(3e-3 * 4 / 5 + 1e-3 / 5, rel=1e-10)
-    assert pred.band0_width_firstorder == pytest.approx(pred.hi - pred.lo)
-    assert len(pred.F_samples) == 401
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +268,6 @@ def test_strong_field_frozen_smallest_ramp():
     assert est.bands[1] == (2 * t - 1 / t, 2 * t + 3 / t)
     assert est.bands[2] == (3 * t + 1 / t, 3 * t + 1 / t)
     np.testing.assert_allclose(est.widths, [4 / t, 4 / t, 0.0], atol=1e-18)
-    np.testing.assert_array_equal(est.parity, [-1, 1, -1])
-    assert est.top_band_width_next_order
-    assert est.disjoint_threshold < t
 
 
 def test_strong_field_width_rule_general():

@@ -322,13 +322,13 @@ def test_refine_extremum_steps_per_spectrum_report(monkeypatch):
 
     steps = []
 
-    def counted(f, grid, values, xtol):
+    def counted(f, grid, values):
         def g(cols, a):
             steps[-1] += 1
             return f(cols, a)
 
         steps.append(0)
-        return refine_extremum(g, grid, values, xtol)
+        return refine_extremum(g, grid, values)
 
     monkeypatch.setattr(bands_mod, "refine_extremum", counted)
     for params in _seeded_potentials():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import ribbonband
-from ribbonband import ConfigError, NumericalError, RibbonParams, eigenvalues_batch
+from ribbonband import (
+    ConfigError,
+    NumericalError,
+    RibbonParams,
+    eigenvalues_batch,
+    spectrum_report,
+)
 from ribbonband.cli import fmt15, main, resolve_potential
 
 
@@ -210,6 +216,25 @@ def test_asymptotics_weak_table(capsys):
     assert abs(float(cells[1]) - float(cells[3])) <= 1e-6  # predicted vs measured
 
 
+def _weak_order_slope(N, v, capsys):
+    code, out, _ = run(["asymptotics", "--N", str(N), "--mode", "weak",
+                        "--potential=" + ",".join(repr(float(x)) for x in v)], capsys)
+    assert code == 0
+    return out.strip().split("\n")[-1].split(",")[1]
+
+
+def test_asymptotics_weak_order_slope_is_scale_free(capsys):
+    # the fit starts at max|s*v| = 1e-2 whatever the size of v, so the slope
+    # is the first-order error's order, not rounding noise
+    v = np.random.default_rng(11).uniform(-1e-3, 1e-3, 7)
+    slopes = [float(_weak_order_slope(3, s * v, capsys)) for s in (1.0, 10.0, 0.1)]
+    assert max(slopes) - min(slopes) <= 1e-4
+    assert all(2.99 <= s <= 3.01 for s in slopes)
+    # under the flat-band criterion the first-order center is exact
+    for v in ([0.0, 0.0, 0.0], [2e-3, 7e-3, 2e-3]):
+        assert _weak_order_slope(1, v, capsys) == ""
+
+
 def test_asymptotics_constant_field_table(capsys):
     code, out, _ = run(
         ["asymptotics", "--N", "1", "--mode", "constant-field",
@@ -223,7 +248,16 @@ def test_asymptotics_constant_field_table(capsys):
     assert hi_pred == pytest.approx(4 * 0.002 / 5, rel=1e-12)
 
 
-def test_asymptotics_strong_table(capsys):
+def test_asymptotics_strong_table(capsys, monkeypatch):
+    import ribbonband.cli as cli_mod
+
+    solved = []
+
+    def counted(params, grid=None):
+        solved.append(params)
+        return spectrum_report(params, grid)
+
+    monkeypatch.setattr(cli_mod, "spectrum_report", counted)
     code, out, _ = run(
         ["asymptotics", "--N", "1", "--mode", "strong", "--potential", "ramp",
          "--t", "100"],
@@ -233,6 +267,7 @@ def test_asymptotics_strong_table(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 5  # header + 3 sites + order row
     assert float(lines[-1].split(",")[1]) >= 1.9
+    assert len(solved) == 4  # one solve per scale, the table's included
 
 
 def test_asymptotics_strong_needs_t(capsys):
@@ -303,6 +338,26 @@ def test_unread_flag_or_key_exits_2_and_names_it(argv, name, tmp_path,
     err = capsys.readouterr().err
     assert code == 2
     assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bands", "--potential", "{dir}"], id="potential-directory"),
+    pytest.param(["bands", "--potential", "{dir}/pot.txt"], id="potential-not-utf8"),
+    pytest.param(["bands", "--config", "{dir}"], id="config-directory"),
+    pytest.param(["bands", "--config", "{dir}/run.cfg"], id="config-not-utf8"),
+    pytest.param(["bands", "--grid", "5", "--out", "{dir}/missing/x"],
+                 id="out-unwritable"),
+    pytest.param(["asymptotics", "--N", "1", "--mode", "constant-field",
+                  "--potential", "constant-field abc"], id="constant-field-bad-eps"),
+])
+def test_unreadable_input_or_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # valid input once decoded as latin-1, where 0xa0 is white space
+    (tmp_path / "pot.txt").write_bytes(b"0.1 0.2 0.3\xa0\n")
+    (tmp_path / "run.cfg").write_bytes(b"N = 1\xa0\n")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error:")
 
 
 def test_invalid_arguments_exit_2(capsys):
