@@ -36,12 +36,10 @@ from .errors import (
     NumericalError,
 )
 from .jacobi import (
-    JacobiMatrix,
     a_of_t,
     cos_node,
     eigenvalues,
     eigenvalues_batch,
-    jacobi_matrix,
     sin_node,
     unperturbed_eigenvalue,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "ConfigError",
     "CriterionViolation",
     "FlatBandVector",
-    "JacobiMatrix",
     "MultisetReport",
     "NumericalError",
     "OPEN",
@@ -96,7 +93,6 @@ __all__ = [
     "first_order_upper_edge",
     "flat_band_criterion",
     "flat_band_vector",
-    "jacobi_matrix",
     "order_check",
     "periodic_ribbon_spectrum",
     "sin_node",

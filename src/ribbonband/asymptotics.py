@@ -33,6 +33,8 @@ from .errors import ConfigError, CriterionViolation, NumericalError
 from .jacobi import cos_node, sin_node
 from .lattice import RibbonParams
 
+_HALVINGS = 3  # order_check fits eps0, eps0/2, eps0/4, eps0/8
+
 
 def weak_field_center(a, params: RibbonParams):
     """First-order central band value: sum v_{2k+1} a^{2k} / sum a^{2k}.
@@ -74,9 +76,9 @@ class WeakFieldPrediction:
     hi: float
 
 
-def weak_field_edges(params: RibbonParams, grid=None) -> WeakFieldPrediction:
+def weak_field_edges(params: RibbonParams) -> WeakFieldPrediction:
     """Extrema of the first-order central band over [0,2] (grid + slope)."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_grid()
     samples = weak_field_center(grid, params)
     _, fx = refine_extremum(lambda _, a: _center_and_slope(a, params),
                             grid, samples[:, None])
@@ -242,27 +244,23 @@ class OrderEstimate:
     """Least-squares slope of log|error| against log(scale)."""
 
     slope: float | None
-    residual: float
     exact: bool
 
 
-def order_check(observable, eps0: float, halvings: int) -> OrderEstimate:
-    """Empirical convergence order of observable(eps) under halvings.
+def order_check(observable, eps0: float) -> OrderEstimate:
+    """Empirical convergence order of observable(eps) under three halvings.
 
-    Evaluates at eps0 / 2^i, i = 0..halvings, and fits log|err| ~ slope *
+    Evaluates at eps0 / 2^i, i = 0.._HALVINGS, and fits log|err| ~ slope *
     log(eps).  Zero errors short-circuit to exact=True (slope undefined).
     """
-    if halvings < 3:
-        raise ConfigError(f"need at least 3 halvings, got {halvings}")
     if eps0 <= 0:
         raise ConfigError(f"eps0 must be positive, got {eps0}")
-    scales = eps0 / 2.0 ** np.arange(halvings + 1)
+    scales = eps0 / 2.0 ** np.arange(_HALVINGS + 1)
     errors = np.array([float(observable(e)) for e in scales])
     if not np.all(np.isfinite(errors)):
         raise ConfigError("observable returned non-finite error")
     errors = np.abs(errors)
     if np.any(errors < 1e-300):
-        return OrderEstimate(slope=None, residual=0.0, exact=True)
-    coeffs, res = np.polyfit(np.log(scales), np.log(errors), 1, full=True)[:2]
-    residual = float(np.sqrt(res[0] / len(scales))) if len(res) else 0.0
-    return OrderEstimate(slope=float(coeffs[0]), residual=residual, exact=False)
+        return OrderEstimate(slope=None, exact=True)
+    slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
+    return OrderEstimate(slope=float(slope), exact=False)

@@ -127,6 +127,8 @@ def resolve_potential(text: str, N: int) -> np.ndarray:
     named = _named_potential(t)
     if named is not None:
         name, eps = named
+        if not math.isfinite(eps * p):  # no entry exceeds |eps| * p
+            raise ConfigError(f"potential '{name} {eps}' leaves float64 range")
         if name == "constant-field":
             return constant_field_potential(N, eps).v
         v = np.zeros(p)
@@ -384,7 +386,7 @@ def _asy_weak(config: RunConfig) -> str:
     # where the edge error is far above rounding
     est = None
     if not flat_band_criterion(params):
-        est = order_check(edge_err, 1e-2 / float(np.max(np.abs(params.v))), 3)
+        est = order_check(edge_err, 1e-2 / float(np.max(np.abs(params.v))))
     rows.append(_order_slope_row(est))
     return "\n".join(rows) + "\n"
 
@@ -443,7 +445,7 @@ def _asy_strong(config: RunConfig) -> str:
             rows.extend(_asy_row(site, *edge) for site, edge in enumerate(edges, 1))
         return max(max(abs(lo - plo), abs(hi - phi)) for plo, phi, lo, hi in edges)
 
-    rows.append(_order_slope_row(order_check(edge_err, 1.0, 3)))
+    rows.append(_order_slope_row(order_check(edge_err, 1.0)))
     return "\n".join(rows) + "\n"
 
 
@@ -534,7 +536,7 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
         F = weak_field_center(agrid, sp)
         return float(np.max(np.abs(lam0 - F)))
 
-    est = order_check(center_err, 1e-2, 3)
+    est = order_check(center_err, 1e-2)
     checks.append(
         (
             "weak-field central band first-order error is quadratic",
@@ -551,7 +553,7 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
         lo, hi = band_interval(1, sc)
         return hi - lo
 
-    est = order_check(top_width, 1.0, 3)
+    est = order_check(top_width, 1.0)
     checks.append(
         (
             "strong-field top band width decays at second order",

@@ -5,11 +5,10 @@ the quasimomentum t of p x p symmetric tridiagonal matrices J_a with
 a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 (a, 1, a, 1, ..., a, 1).  This module owns:
 
-  * construction of J_a and the t -> a map, the off-diagonal pattern
-    written once (_offdiagonals),
-  * eigenvalues: closed form for the decoupled a = 0 blocks, LAPACK
-    (numpy.linalg.eigvalsh) on dense stacks of J_a otherwise, one kernel
-    for single matrices and whole a grids,
+  * the t -> a map and the off-diagonal pattern (_offdiagonals),
+  * one eigenvalue kernel, eigenvalues(params, off), for single matrices,
+    a grids and the oracle's Bloch rows: closed form for the decoupled
+    a = 0 rows, LAPACK (numpy.linalg.eigvalsh) on dense stacks otherwise,
   * eigenvalues with their a-slopes (Hellmann-Feynman, numpy.linalg.eigh),
     for the refinement of band extrema; both LAPACK routes share one
     stack loop (_solve_stacks),
@@ -19,7 +18,6 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +25,6 @@ from .errors import ConfigError, NumericalError
 from .lattice import RibbonParams
 
 _STACK_ENTRIES = 1 << 16  # float64 entries per LAPACK stack (512 KiB)
-
-
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal p x p matrix with alternating off-diagonals.
-
-    offdiag[j] = a for even j (0-based) and 1 for odd j; diag = v.
-    """
-
-    a: float
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.diag.shape[0]
 
 
 def a_of_t(t):
@@ -54,14 +36,6 @@ def a_of_t(t):
 def _offdiagonals(p: int, a_values) -> np.ndarray:
     """Off-diagonals (a, 1, a, 1, ...) of the p x p J_a, one row per a."""
     return np.where(np.arange(p - 1) % 2 == 0, np.c_[a_values], 1.0)
-
-
-def jacobi_matrix(params: RibbonParams, a: float) -> JacobiMatrix:
-    """Build J_a for the given potential; requires a in [0, 2]."""
-    if not 0.0 <= a <= 2.0:
-        raise ConfigError(f"a={a} outside [0, 2]")
-    return JacobiMatrix(a=float(a), diag=params.v.copy(),
-                        offdiag=_offdiagonals(params.p, [float(a)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +93,26 @@ def _solve_stacks(solve, diag: np.ndarray, off: np.ndarray):
         yield rows, result
 
 
-def _eigvalsh(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """All eigenvalues of each tridiagonal matrix (diag, off[r]), (rows, p).
+def eigenvalues(params: RibbonParams, off) -> np.ndarray:
+    """All eigenvalues of each tridiagonal matrix (params.v, off[r]),
+    ascending: shape (rows, p), position i holds band index i - N.
 
-    Rows whose off-diagonals are exactly the a = 0 pattern take the closed
-    form (exact multiplicities); the rest go to LAPACK
-    (numpy.linalg.eigvalsh) through _solve_stacks, so a row's values do not
-    depend on the rows beside it.  Raises NumericalError on a non-finite
-    eigenvalue or a failed solve.
+    Rows that are exactly the a = 0 pattern take the closed form (exact
+    multiplicities); the rest, in or off the pattern, go to LAPACK through
+    _solve_stacks, so a row's values do not depend on the rows beside it.
+    Raises ConfigError unless off is 2-D with p - 1 columns, and
+    NumericalError on a non-finite result or a failed solve.
     """
-    p = diag.shape[0]
+    p = params.p
+    off = np.asarray(off, dtype=float)
+    if off.ndim != 2 or off.shape[1] != p - 1:
+        raise ConfigError(f"off-diagonals need shape (rows, {p - 1}), got {off.shape}")
     out = np.empty((off.shape[0], p))
     decoupled = np.all(off == _offdiagonals(p, [0.0]), axis=1)
     if decoupled.any():
-        out[decoupled] = decoupled_eigenvalues(RibbonParams(N=(p - 1) // 2, v=diag))
+        out[decoupled] = decoupled_eigenvalues(params)
     general = np.flatnonzero(~decoupled)
-    for rows, w in _solve_stacks(np.linalg.eigvalsh, diag, off[general]):
+    for rows, w in _solve_stacks(np.linalg.eigvalsh, params.v, off[general]):
         out[general[rows]] = w
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
@@ -176,7 +154,7 @@ def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.nda
             raise ConfigError(f"indices must be 1-D, got shape {idx.shape}")
         if np.any((idx < 0) | (idx >= p)):
             raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
-    vals = _eigvalsh(params.v, _offdiagonals(p, a_values))
+    vals = eigenvalues(params, _offdiagonals(p, a_values))
     return vals if indices is None else vals[:, idx]
 
 
@@ -195,16 +173,6 @@ def decoupled_eigenvalues(params: RibbonParams) -> np.ndarray:
         r = math.hypot(half, 1.0)
         vals.extend((mean - r, mean + r))
     return np.sort(np.asarray(vals))
-
-
-def eigenvalues(J: JacobiMatrix) -> np.ndarray:
-    """All p eigenvalues of J, ascending; position i holds band index i - N.
-
-    Works from the matrix's actual off-diagonals, through the same kernel
-    as eigenvalues_batch: the exact a = 0 pattern takes the closed-form
-    decoupled blocks, everything else LAPACK.
-    """
-    return _eigvalsh(J.diag, J.offdiag[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The central cross-check: the spectrum of a periodic L-cell ribbon section
 (dense real-space matrix, diagonalized by cyclic Jacobi rotations) must
 equal, as a multiset, the union over the L discrete quasimomenta of the
-eigenvalues of the tridiagonal family (closed form at a = 0, LAPACK on the
-p x p Jacobi matrices otherwise).  The two eigensolvers share no code path
-on purpose.
+spectra of the p x p tridiagonal family, one jacobi.eigenvalues call on
+all L rows.  The two eigensolvers share no code path on purpose.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .jacobi import a_of_t, eigenvalues, jacobi_matrix
+from .jacobi import _offdiagonals, a_of_t, eigenvalues
 from .lattice import PERIODIC, RibbonParams, build_ribbon
 
 SWEEP_CAP = 50
@@ -103,12 +102,9 @@ def bloch_union_spectrum(params: RibbonParams, L: int, *,
     """
     if L < 3:
         raise ConfigError(f"need L >= 3 quasimomenta, got {L}")
-    out = []
-    for j in range(L):
-        J = jacobi_matrix(params, float(a_of_t(2.0 * np.pi * j / L)))
-        J.offdiag[0] += offdiag_shift
-        out.append(eigenvalues(J))
-    return np.sort(np.concatenate(out))
+    off = _offdiagonals(params.p, a_of_t(2.0 * np.pi * np.arange(L) / L))
+    off[:, 0] += offdiag_shift
+    return np.sort(eigenvalues(params, off).ravel())
 
 
 @dataclass(frozen=True)

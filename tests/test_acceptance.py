@@ -166,8 +166,8 @@ def test_criterion_05_weak_field_is_first_order_accurate():
         lo, hi = band_interval(0, params)
         return max(abs(pred.lo - lo), abs(pred.hi - hi))
 
-    est_c = order_check(center_err, 1e-2, 3)  # eps = 1e-2 ... 1.25e-3
-    est_e = order_check(edge_err, 1e-2, 3)
+    est_c = order_check(center_err, 1e-2)  # eps = 1e-2 ... 1.25e-3
+    est_e = order_check(edge_err, 1e-2)
     ok = (
         not est_c.exact
         and est_c.slope >= 1.9

@@ -126,7 +126,7 @@ def test_weak_center_tracks_true_eigenvalue_to_second_order():
         F = np.array([weak_field_center(float(a), params) for a in grid])
         return float(np.max(np.abs(lam0 - F)))
 
-    est = order_check(err, 1e-2, 3)
+    est = order_check(err, 1e-2)
     assert not est.exact
     assert est.slope >= 1.9
 
@@ -320,22 +320,19 @@ def test_strong_field_bands_disjoint_and_ordered():
 # ---------------------------------------------------------------------------
 
 def test_order_check_recovers_known_orders():
-    est = order_check(lambda e: 3.0 * e, 1.0, 3)
+    est = order_check(lambda e: 3.0 * e, 1.0)
     assert est.slope == pytest.approx(1.0, abs=1e-12)
-    est = order_check(lambda e: 0.5 * e**2, 1.0, 4)
+    est = order_check(lambda e: 0.5 * e**2, 1.0)
     assert est.slope == pytest.approx(2.0, abs=1e-12)
-    assert est.residual <= 1e-12
 
 
 def test_order_check_flags_exact_zero():
-    est = order_check(lambda e: 0.0, 1.0, 3)
+    est = order_check(lambda e: 0.0, 1.0)
     assert est.exact and est.slope is None
 
 
 def test_order_check_validations():
     with pytest.raises(ConfigError):
-        order_check(lambda e: e, 1.0, 2)
+        order_check(lambda e: e, -1.0)
     with pytest.raises(ConfigError):
-        order_check(lambda e: e, -1.0, 3)
-    with pytest.raises(ConfigError):
-        order_check(lambda e: float("nan"), 1.0, 3)
+        order_check(lambda e: float("nan"), 1.0)

@@ -386,15 +386,30 @@ def test_overflowing_potential_exits_3(capsys):
     assert "numerical error" in err
 
 
-def _exits_3_without_warning(argv):
+def _run_process(argv):
     # a real process, so numpy warnings and tracebacks would reach stderr
     src = os.path.dirname(os.path.dirname(ribbonband.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ribbonband.cli", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def _exits_3_without_warning(argv):
+    proc = _run_process(argv)
     assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("potential", ["constant-field 1e308", "linear-odd 1e308",
+                                       "constant-field inf", "linear-odd nan"])
+def test_named_potential_beyond_float_range_exits_2_without_warning(potential):
+    # rejected before the potential vector is built, so nothing overflows
+    proc = _run_process(["bands", "--N", "2", "--potential", potential])
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -1,5 +1,5 @@
-"""Tridiagonal family: the LAPACK kernel against the dense rotation oracle,
-the decoupled a = 0 blocks, and the zero-potential closed forms."""
+"""Tridiagonal family: the one eigenvalue kernel against the dense rotation
+oracle, the decoupled a = 0 blocks, and the zero-potential closed forms."""
 
 import math
 import warnings
@@ -11,25 +11,24 @@ from hypothesis import strategies as st
 
 from ribbonband import (
     ConfigError,
-    JacobiMatrix,
     NumericalError,
     RibbonParams,
     a_of_t,
+    bloch_union_spectrum,
     cos_node,
     dense_symmetric_eig,
     eigenvalues,
     eigenvalues_batch,
-    jacobi_matrix,
     sin_node,
     unperturbed_eigenvalue,
 )
-from ribbonband.jacobi import decoupled_eigenvalues
+from ribbonband.jacobi import _offdiagonals, _tridiagonal_stack, decoupled_eigenvalues
 
 
-def _dense(J):
-    """Dense form of a JacobiMatrix, built here so the oracle's input does not
-    come from the production stack."""
-    return np.diag(J.diag) + np.diag(J.offdiag, 1) + np.diag(J.offdiag, -1)
+def _dense(v, off):
+    """Dense tridiagonal matrix (v, off), built here so the oracle's input
+    does not come from the production stack."""
+    return np.diag(v) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def test_a_of_t_special_values():
@@ -45,34 +44,42 @@ def test_a_of_t_special_values():
 
 def test_offdiag_pattern_alternates():
     # the off-diagonals alternate (a, 1, a, 1, ...), a = 0 included
-    np.testing.assert_array_equal(
-        jacobi_matrix(RibbonParams(N=2), 1.5).offdiag, [1.5, 1.0, 1.5, 1.0]
-    )
-    np.testing.assert_array_equal(
-        jacobi_matrix(RibbonParams(N=1), 0.0).offdiag, [0.0, 1.0]
-    )
+    np.testing.assert_array_equal(_offdiagonals(5, [1.5]), [[1.5, 1.0, 1.5, 1.0]])
+    np.testing.assert_array_equal(_offdiagonals(3, [0.0]), [[0.0, 1.0]])
 
 
 def test_jacobi_matrix_layout():
+    # one row of p - 1 off-diagonals per a; the kernel's dense matrix has
+    # diagonal v and that row on both sides of it
     v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    J = jacobi_matrix(RibbonParams(N=2, v=v), 0.7)
-    np.testing.assert_array_equal(J.diag, v)
-    np.testing.assert_allclose(J.offdiag, [0.7, 1.0, 0.7, 1.0])
-    assert J.p == 5
+    off = _offdiagonals(5, [0.7, 0.2])
+    np.testing.assert_allclose(off, [[0.7, 1.0, 0.7, 1.0], [0.2, 1.0, 0.2, 1.0]])
+    stack = _tridiagonal_stack(v, off)
+    assert stack.shape == (2, 5, 5)
+    for r in range(2):
+        np.testing.assert_array_equal(stack[r], _dense(v, off[r]))
 
 
 def test_jacobi_matrix_rejects_a_outside_range():
+    # the [0, 2] check on a lives in eigenvalues_batch
     params = RibbonParams(N=1)
     for a in (-0.1, 2.1):
         with pytest.raises(ConfigError):
-            jacobi_matrix(params, a)
+            eigenvalues_batch(params, [a])
 
 
 def test_eigenvalues_smallest_case_closed_form():
-    J = jacobi_matrix(RibbonParams(N=1), 1.0)
     np.testing.assert_allclose(
-        eigenvalues(J), [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-11
+        eigenvalues(RibbonParams(N=1), _offdiagonals(3, [1.0]))[0],
+        [-np.sqrt(2), 0.0, np.sqrt(2)], atol=1e-11
     )
+
+
+def test_eigenvalues_rejects_offdiagonals_of_wrong_shape():
+    params = RibbonParams(N=1)
+    for off in ([1.0, 1.0], [[1.0, 1.0, 1.0]], [[1.0]]):
+        with pytest.raises(ConfigError):
+            eigenvalues(params, off)
 
 
 def test_eigenvalues_match_dense_oracle():
@@ -80,9 +87,10 @@ def test_eigenvalues_match_dense_oracle():
     for N in (1, 2, 3):
         for a in (0.0, 0.3, 1.0, 2.0):
             v = rng.uniform(-1.5, 1.5, 2 * N + 1)
-            J = jacobi_matrix(RibbonParams(N=N, v=v), a)
+            off = _offdiagonals(2 * N + 1, [a])
             np.testing.assert_allclose(
-                eigenvalues(J), dense_symmetric_eig(_dense(J)), atol=1e-10
+                eigenvalues(RibbonParams(N=N, v=v), off)[0],
+                dense_symmetric_eig(_dense(v, off[0])), atol=1e-10
             )
 
 
@@ -93,7 +101,7 @@ def test_eigenvalues_batch_consistent_with_single_solves():
     assert batch.shape == (9, 5)
     for i, a in enumerate(grid):
         np.testing.assert_allclose(
-            batch[i], eigenvalues(jacobi_matrix(params, a)), atol=1e-11
+            batch[i], eigenvalues(params, _offdiagonals(5, [a]))[0], atol=1e-11
         )
 
 
@@ -144,7 +152,8 @@ def test_eigenvalues_batch_matches_rotation_oracle(N, a, scale, seed):
     a = np.array(a)
     full = eigenvalues_batch(params, a)
     for r in range(a.size):
-        oracle = dense_symmetric_eig(_dense(jacobi_matrix(params, a[r])))
+        off = _offdiagonals(params.p, [a[r]])[0]
+        oracle = dense_symmetric_eig(_dense(params.v, off))
         np.testing.assert_allclose(full[r], oracle, rtol=0,
                                    atol=1e-10 * max(1.0, scale))
     idx = rng.integers(0, params.p, size=3)
@@ -190,9 +199,8 @@ def test_eigenvalues_batch_near_float_limit_finite_or_typed(v):
 
 def test_eigenvalues_non_finite_offdiagonal_raises_typed():
     for bad in (np.nan, np.inf):
-        J = JacobiMatrix(a=1.0, diag=np.zeros(3), offdiag=np.array([bad, 1.0]))
         with pytest.raises(NumericalError):
-            eigenvalues(J)
+            eigenvalues(RibbonParams(N=1), [[bad, 1.0]])
 
 
 def test_decoupled_limit_matches_general_path():
@@ -201,29 +209,39 @@ def test_decoupled_limit_matches_general_path():
     closed = decoupled_eigenvalues(params)
     # v1 splits off; pairs are mean +- hypot of the 2x2 blocks
     assert 0.3 in closed
+    off = _offdiagonals(5, [0.0])
     np.testing.assert_allclose(
-        closed, dense_symmetric_eig(_dense(jacobi_matrix(params, 0.0))),
-        atol=1e-12,
+        closed, dense_symmetric_eig(_dense(v, off[0])), atol=1e-12,
     )
-    np.testing.assert_allclose(
-        eigenvalues(jacobi_matrix(params, 0.0)), closed, atol=1e-12
-    )
+    np.testing.assert_allclose(eigenvalues(params, off)[0], closed, atol=1e-12)
 
 
 def test_eigenvalues_respect_actual_offdiagonals():
     # a corrupted off-diagonal must shift the spectrum: no silent rebuild
     # of the ideal pattern from the a label
-    J = jacobi_matrix(RibbonParams(N=1), 1.0)
-    off = J.offdiag.copy()
-    off[0] += 1e-3
-    corrupted = JacobiMatrix(a=J.a, diag=J.diag, offdiag=off)
-    dev = np.max(np.abs(eigenvalues(corrupted) - eigenvalues(J)))
+    params = RibbonParams(N=1)
+    off = _offdiagonals(3, [1.0])
+    corrupted = off.copy()
+    corrupted[0, 0] += 1e-3
+    dev = np.max(np.abs(eigenvalues(params, corrupted) - eigenvalues(params, off)))
     assert dev > 1e-4
     np.testing.assert_allclose(
-        eigenvalues(corrupted),
-        dense_symmetric_eig(_dense(corrupted)),
+        eigenvalues(params, corrupted)[0],
+        dense_symmetric_eig(_dense(params.v, corrupted[0])),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("L", [3, 6, 7, 12])
+def test_bloch_union_equals_batch_over_quasimomenta(L):
+    # the union is the rows of eigenvalues_batch at a(2*pi*j/L), bit for bit,
+    # at odd L and at even L (where a(pi) is 2*cos(pi/2) ~ 1.2e-16)
+    rng = np.random.default_rng(L)
+    for N in (1, 3):
+        params = RibbonParams(N=N, v=rng.uniform(-1.0, 1.0, 2 * N + 1))
+        rows = eigenvalues_batch(params, a_of_t(2.0 * np.pi * np.arange(L) / L))
+        np.testing.assert_array_equal(bloch_union_spectrum(params, L),
+                                      np.sort(rows.ravel()))
 
 
 def test_nodes_and_unperturbed_values():

@@ -7,7 +7,7 @@ def test_all_is_pinned():
     # a name enters or leaves the public API only on purpose
     assert sorted(ribbonband.__all__) == [
         "BoundaryClashError", "ConfigError", "CriterionViolation",
-        "FlatBandVector", "JacobiMatrix", "MultisetReport", "NumericalError",
+        "FlatBandVector", "MultisetReport", "NumericalError",
         "OPEN", "OrderEstimate", "PERIODIC", "RibbonParams", "SpectrumReport",
         "StrongFieldEstimate", "WeakFieldPrediction", "__version__", "a_of_t",
         "band_function", "band_interval", "bloch_union_spectrum",
@@ -15,7 +15,7 @@ def test_all_is_pinned():
         "constant_field_potential", "cos_node", "default_grid",
         "dense_symmetric_eig", "eigenvalues", "eigenvalues_batch",
         "first_order_lower_edge", "first_order_upper_edge",
-        "flat_band_criterion", "flat_band_vector", "jacobi_matrix",
+        "flat_band_criterion", "flat_band_vector",
         "order_check", "periodic_ribbon_spectrum", "sin_node",
         "spectrum_report", "strong_field", "unperturbed_eigenvalue",
         "unperturbed_spectrum", "verify_flat_eigen", "weak_field_center",
