@@ -8,9 +8,7 @@ independent dense oracle.
 """
 
 from .asymptotics import (
-    OrderEstimate,
     StrongFieldEstimate,
-    WeakFieldPrediction,
     constant_field,
     constant_field_potential,
     first_order_lower_edge,
@@ -30,7 +28,6 @@ from .bands import (
     unperturbed_spectrum,
 )
 from .errors import (
-    BoundaryClashError,
     ConfigError,
     CriterionViolation,
     NumericalError,
@@ -49,7 +46,6 @@ from .lattice import (
     FlatBandVector,
     RibbonParams,
     build_ribbon,
-    flat_band_vector,
     verify_flat_eigen,
 )
 from .oracle import (
@@ -63,19 +59,16 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryClashError",
     "ConfigError",
     "CriterionViolation",
     "FlatBandVector",
     "MultisetReport",
     "NumericalError",
     "OPEN",
-    "OrderEstimate",
     "PERIODIC",
     "RibbonParams",
     "SpectrumReport",
     "StrongFieldEstimate",
-    "WeakFieldPrediction",
     "a_of_t",
     "band_function",
     "band_interval",
@@ -92,7 +85,6 @@ __all__ = [
     "first_order_lower_edge",
     "first_order_upper_edge",
     "flat_band_criterion",
-    "flat_band_vector",
     "order_check",
     "periodic_ribbon_spectrum",
     "sin_node",

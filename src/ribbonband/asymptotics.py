@@ -14,10 +14,10 @@ Four regimes are covered:
 
 order_check fits the empirical convergence order of an error under
 halvings of a scale, so each asymptotic claim can be validated against
-measured band data.  The result types carry only what their callers read:
-the predicted extrema (WeakFieldPrediction), the per-site corrections,
-bands and widths (StrongFieldEstimate), and the fitted slope
-(OrderEstimate).
+measured band data.  Band edges come back as (lo, hi) tuples, as from
+bands.band_interval, and a fitted order as a float (None when an error is
+exactly 0); the one result type, StrongFieldEstimate, carries the per-site
+corrections, bands and widths.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from ._optimize import refine_extremum
 from .bands import default_grid
 from .errors import ConfigError, CriterionViolation, NumericalError
-from .jacobi import cos_node, sin_node
+from .jacobi import _offdiagonals, cos_node, sin_node
 from .lattice import RibbonParams
 
 _HALVINGS = 3  # order_check fits eps0, eps0/2, eps0/4, eps0/8
@@ -68,21 +68,13 @@ def _center_and_slope(a, params: RibbonParams):
     return center, slope
 
 
-@dataclass(frozen=True)
-class WeakFieldPrediction:
-    """First-order central band: its extrema over a in [0,2]."""
-
-    lo: float
-    hi: float
-
-
-def weak_field_edges(params: RibbonParams) -> WeakFieldPrediction:
-    """Extrema of the first-order central band over [0,2] (grid + slope)."""
+def weak_field_edges(params: RibbonParams) -> tuple[float, float]:
+    """(min, max) of the first-order central band over [0,2] (grid + slope)."""
     grid = default_grid()
     samples = weak_field_center(grid, params)
     _, fx = refine_extremum(lambda _, a: _center_and_slope(a, params),
                             grid, samples[:, None])
-    return WeakFieldPrediction(lo=float(fx[0, 0]), hi=float(fx[1, 0]))
+    return float(fx[0, 0]), float(fx[1, 0])
 
 
 def first_order_lower_edge(k: int, params: RibbonParams) -> float:
@@ -189,7 +181,8 @@ class StrongFieldEstimate:
 def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
     """Predicted bands for potential t*v, v strictly increasing, t large.
 
-    Requires v_1 < ... < v_p and t >= 10 / min spacing.
+    Requires v_1 < ... < v_p and t >= 10 / min spacing; raises ConfigError
+    when t*v leaves float64 range.
     """
     v = params.v
     p = params.p
@@ -201,32 +194,14 @@ def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
         raise CriterionViolation(
             f"t={t:g} below the validity threshold {t_min:g} for this potential"
         )
+    if not math.isfinite(float(t) * float(np.max(np.abs(v)))):  # Python floats: no warning
+        raise ConfigError(f"t={t:g} puts the potential t*v beyond float64 range")
 
-    # bond coupling squared between sites j and j+1: pattern a^2, 1, a^2, ...
-    # evaluated at the a-range ends 0 and 2 -> per-site correction weights
-    # r_j for the bond (j-1, j), j = 1..p+1, with r_1 = r_{p+1} = 0.
-    r_minus = np.zeros(p + 2)
-    r_plus = np.zeros(p + 2)
-    for j in range(2, p + 1):
-        if j % 2 == 0:
-            r_plus[j] = 4.0  # a-type bond at a = 2
-        else:
-            r_minus[j] = 1.0
-            r_plus[j] = 1.0
-
-    vext = np.concatenate(([0.0], v, [0.0]))  # v_0 = v_{p+1} = 0 convention
-
-    xi_minus = np.empty(p)
-    xi_plus = np.empty(p)
-    for k in range(1, p + 1):
-        dm = vext[k - 1] - vext[k]
-        dp = vext[k + 1] - vext[k]
-        xi_minus[k - 1] = (r_minus[k] / dm if r_minus[k] else 0.0) + (
-            r_minus[k + 1] / dp if r_minus[k + 1] else 0.0
-        )
-        xi_plus[k - 1] = (r_plus[k] / dm if r_plus[k] else 0.0) + (
-            r_plus[k + 1] / dp if r_plus[k + 1] else 0.0
-        )
+    # bond j couples sites j and j+1 with squared weight (a^2, 1, a^2, ...)
+    # at the a-range ends 0 and 2; site k's correction is q_k - q_{k-1}
+    # with q_j = weight_j / (v_{j+1} - v_j), and no bond beyond either end.
+    q = _offdiagonals(p, [0.0, 2.0]) ** 2 / spacing
+    xi_minus, xi_plus = (np.r_[row, 0.0] - np.r_[0.0, row] for row in q)
 
     centers = t * v
     hi_corr = np.minimum(xi_minus, xi_plus) / t
@@ -239,19 +214,12 @@ def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
                                widths=lo_corr - hi_corr)
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
-    """Least-squares slope of log|error| against log(scale)."""
-
-    slope: float | None
-    exact: bool
-
-
-def order_check(observable, eps0: float) -> OrderEstimate:
+def order_check(observable, eps0: float) -> float | None:
     """Empirical convergence order of observable(eps) under three halvings.
 
-    Evaluates at eps0 / 2^i, i = 0.._HALVINGS, and fits log|err| ~ slope *
-    log(eps).  Zero errors short-circuit to exact=True (slope undefined).
+    Evaluates at eps0 / 2^i, i = 0.._HALVINGS, and returns the slope of the
+    least-squares fit log|err| ~ slope * log(eps), or None when an error is
+    exactly zero (the order is undefined).
     """
     if eps0 <= 0:
         raise ConfigError(f"eps0 must be positive, got {eps0}")
@@ -261,6 +229,5 @@ def order_check(observable, eps0: float) -> OrderEstimate:
         raise ConfigError("observable returned non-finite error")
     errors = np.abs(errors)
     if np.any(errors < 1e-300):
-        return OrderEstimate(slope=None, exact=True)
-    slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
-    return OrderEstimate(slope=float(slope), exact=False)
+        return None
+    return float(np.polyfit(np.log(scales), np.log(errors), 1)[0])

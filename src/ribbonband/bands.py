@@ -49,14 +49,14 @@ def band_function(k: int, params: RibbonParams, grid=None) -> np.ndarray:
     return eigenvalues_batch(params, grid, indices=[k + N])[:, 0]
 
 
-def _scan_and_refine(params: RibbonParams, grid, indices):
-    """One grid scan of the given eigenvalue indices, then one batched
-    value-and-slope refinement of each index's minimum and maximum.
+def _scan_and_refine(params: RibbonParams, indices):
+    """One default_grid() scan of the given eigenvalue indices, then one
+    batched value-and-slope refinement of each index's minimum and maximum.
 
     Returns fx, (2, len(indices)): fx[0, j] and fx[1, j] are the refined
     minimum and maximum of eigenvalue indices[j].
     """
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_grid()
     indices = np.asarray(indices)
     values = eigenvalues_batch(params, grid, indices=indices)
 
@@ -66,12 +66,12 @@ def _scan_and_refine(params: RibbonParams, grid, indices):
     return refine_extremum(f, grid, values)[1]
 
 
-def band_interval(k: int, params: RibbonParams, grid=None) -> tuple[float, float]:
+def band_interval(k: int, params: RibbonParams) -> tuple[float, float]:
     """(min, max) of lambda_k over a in [0,2]: grid scan + slope refinement."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    fx = _scan_and_refine(params, grid, [k + N])
+    fx = _scan_and_refine(params, [k + N])
     return float(fx[0, 0]), float(fx[1, 0])
 
 
@@ -135,14 +135,14 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
                           multiplicity_windows=tuple(windows))
 
 
-def spectrum_report(params: RibbonParams, grid=None) -> SpectrumReport:
+def spectrum_report(params: RibbonParams) -> SpectrumReport:
     """Measure every band interval and assemble gaps/windows; raises
     NumericalError when the band edges span beyond float64 range.
 
     Band k = 0 is flat exactly when flat_band_criterion holds; no band is
     judged flat by its measured width.
     """
-    fx = _scan_and_refine(params, grid, np.arange(params.p))
+    fx = _scan_and_refine(params, np.arange(params.p))
     flat = flat_band_criterion(params)
     rows = [(j - params.N, float(fx[0, j]), float(fx[1, j]), flat and j == params.N)
             for j in range(params.p)]

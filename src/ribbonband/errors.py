@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes: ConfigError -> 2,
-NumericalError -> 3, CriterionViolation and BoundaryClashError -> 4.
-Verification failures are reported, not raised.
+The CLI maps these onto its exit codes, one type per code: ConfigError
+-> 2, NumericalError -> 3, CriterionViolation -> 4 (a regime or
+flat-band precondition, or a flat-band vector whose support leaves the
+open section).  Verification failures are reported, not raised.
 """
 
 
@@ -18,7 +19,3 @@ class NumericalError(RuntimeError):
 
 class CriterionViolation(ValueError):
     """A mathematical precondition of the requested computation is violated."""
-
-
-class BoundaryClashError(ValueError):
-    """A compactly supported vector does not fit inside the finite section."""

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import BoundaryClashError, ConfigError
+from .errors import ConfigError, CriterionViolation
 
 DENSE_SIZE_CAP = 10_000  # rows; finite sections are oracle-scale only
 
@@ -73,6 +72,7 @@ def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
 
     Returns a symmetric scipy.sparse.csr_matrix.
     """
+    import scipy.sparse as sp  # here, not at the top: keeps scipy out of CLI start-up
     p = params.p
     if boundary not in (PERIODIC, OPEN):
         raise ConfigError(f"unknown boundary {boundary!r}")
@@ -119,11 +119,17 @@ class FlatBandVector:
 
     Row 2k+1 (k = 0..N) carries integer coefficients (-1)^k * C(k, j) at
     axial position m-j, j = 0..k; even rows vanish identically.  Axial
-    support is [m-N, m].  Coefficients are exact integers.
+    support is [m-N, m].  Coefficients are exact integers.  Raises
+    ConfigError unless N >= 1; m is cast with int.
     """
 
     N: int
     m: int
+
+    def __post_init__(self):
+        if self.N < 1:
+            raise ConfigError(f"N must be positive, got {self.N}")
+        object.__setattr__(self, "m", int(self.m))
 
     def row_entries(self, k: int) -> list[tuple[int, int]]:
         """Entries of odd row 2k+1 as (axial position, integer coefficient)."""
@@ -137,7 +143,7 @@ class FlatBandVector:
         values[n, k-1] = f_{n,k}; the support [m-N, m] must fit inside
         0..L-1."""
         if self.m - self.N < 0 or self.m >= L:
-            raise BoundaryClashError(
+            raise CriterionViolation(
                 f"support [{self.m - self.N}, {self.m}] leaves the open "
                 f"section 0..{L - 1}"
             )
@@ -148,20 +154,14 @@ class FlatBandVector:
         return vals
 
 
-def flat_band_vector(N: int, m: int) -> FlatBandVector:
-    """The flat-band eigenvector anchored at cell m (exact integer data)."""
-    if N < 1:
-        raise ConfigError(f"N must be positive, got {N}")
-    return FlatBandVector(N=N, m=int(m))
-
-
 def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> float:
     """Max-norm residual of (H - v_1) psi on an open section of L cells.
 
     Exactly 0.0 when the flat-band criterion holds (the computation stays in
     small integers plus bitwise-identical potential products); strictly
-    positive when some odd entry differs from v_1.  Raises BoundaryClashError
-    when the support of psi touches the open boundary.
+    positive when some odd entry differs from v_1.  Raises ConfigError when
+    psi and params disagree on N, and CriterionViolation when the support
+    of psi leaves the open section 0..L-1.
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")

@@ -22,6 +22,7 @@ from ribbonband import (
 )
 from ribbonband._optimize import refine_extremum
 from ribbonband.bands import _report_from_intervals
+from ribbonband.jacobi import _eigenvalue_slopes
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,8 +107,13 @@ def test_band_interval_frozen_values():
 def test_band_interval_interior_minimum_is_refined():
     # the grid does not contain the exact minimizer a = cos(pi/3) region
     # minimum sqrt(3)/2; a coarse grid must still land on it via refinement
-    lo, _ = band_interval(1, RibbonParams(N=2), grid=np.linspace(0, 2, 11))
-    assert lo == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
+    # (default_grid() holds a = 0.5, so band_interval's own scan would not
+    # test this: refine band 1 from 11 points as band_interval does)
+    params, grid, band = RibbonParams(N=2), np.linspace(0, 2, 11), np.array([3])
+    values = eigenvalues_batch(params, grid, indices=band)
+    _, fx = refine_extremum(lambda cols, a: _eigenvalue_slopes(params, a, band[cols]),
+                            grid, values)
+    assert fx[0, 0] == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
 
 
 def test_spectrum_report_smallest_ribbon():
@@ -184,14 +190,13 @@ def test_flatness_equivalence_on_random_potentials(seed):
     v[0::2] = v[0]
     params = RibbonParams(N=N, v=v)
     assert flat_band_criterion(params)
-    lo, hi = band_interval(0, params, grid=np.linspace(0, 2, 101))
+    lo, hi = band_interval(0, params)
     assert hi - lo <= 1e-10
     # breaking one odd site reopens the band
     v2 = v.copy()
     site = int(rng.integers(1, N + 1))
     v2[2 * site] += float(rng.uniform(1e-3, 2e-3)) * (-1) ** site
-    lo, hi = band_interval(0, RibbonParams(N=N, v=v2),
-                           grid=np.linspace(0, 2, 101))
+    lo, hi = band_interval(0, RibbonParams(N=N, v=v2))
     assert hi - lo > 1e-5
 
 
@@ -304,7 +309,7 @@ def _seeded_potentials():
 def test_report_edges_at_least_as_extreme_as_golden_reference():
     grid = default_grid()
     for params in _seeded_potentials():
-        bands = spectrum_report(params, grid).bands
+        bands = spectrum_report(params).bands
         values = eigenvalues_batch(params, grid)
         tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
         for j, (_, lo, hi, _) in enumerate(bands):

@@ -6,11 +6,11 @@ import pytest
 from ribbonband import (
     OPEN,
     PERIODIC,
-    BoundaryClashError,
     ConfigError,
+    CriterionViolation,
+    FlatBandVector,
     RibbonParams,
     build_ribbon,
-    flat_band_vector,
     verify_flat_eigen,
 )
 
@@ -71,14 +71,14 @@ def test_build_ribbon_validations():
 
 
 def test_flat_band_vector_rows_are_signed_binomials():
-    psi = flat_band_vector(2, 3)
+    psi = FlatBandVector(2, 3)
     assert psi.row_entries(0) == [(3, 1)]
     assert psi.row_entries(1) == [(3, -1), (2, -1)]
     assert psi.row_entries(2) == [(3, 1), (2, 2), (1, 1)]
 
 
 def test_flat_band_vector_even_rows_vanish():
-    state = flat_band_vector(2, 2).to_state(6)
+    state = FlatBandVector(2, 2).to_state(6)
     assert state.shape == (6, 5)
     # 0-based columns 1, 3 are the even sites of the cross-section
     assert np.all(state[:, 1] == 0)
@@ -96,7 +96,7 @@ def test_verify_flat_eigen_is_exactly_zero():
         v = rng.uniform(-2, 2, 2 * N + 1)
         v[0::2] = v[0]
         params = RibbonParams(N=N, v=v)
-        resid = verify_flat_eigen(params, flat_band_vector(N, N + 1), 2 * N + 4)
+        resid = verify_flat_eigen(params, FlatBandVector(N, N + 1), 2 * N + 4)
         assert resid == 0.0
 
 
@@ -105,13 +105,20 @@ def test_verify_flat_eigen_flags_violation_with_its_size():
     # the largest coefficient on that row
     v = np.array([0.0, 0.0, 0.1, 0.0, 0.0])
     params = RibbonParams(N=2, v=v)
-    resid = verify_flat_eigen(params, flat_band_vector(2, 3), 8)
+    resid = verify_flat_eigen(params, FlatBandVector(2, 3), 8)
     assert resid == pytest.approx(0.1, abs=1e-15)
 
 
 def test_flat_band_vector_boundary_clash():
-    psi = flat_band_vector(2, 1)  # support would spill below cell 0
-    with pytest.raises(BoundaryClashError):
+    psi = FlatBandVector(2, 1)  # support would spill below cell 0
+    with pytest.raises(CriterionViolation):
         psi.to_state(6)
-    with pytest.raises(BoundaryClashError):
-        flat_band_vector(1, 5).to_state(5)  # anchor outside
+    with pytest.raises(CriterionViolation):
+        FlatBandVector(1, 5).to_state(5)  # anchor outside
+
+
+def test_flat_band_vector_checks_N_and_casts_m():
+    with pytest.raises(ConfigError):
+        FlatBandVector(0, 0)
+    m = FlatBandVector(2, np.int64(3)).m
+    assert m == 3 and type(m) is int
