@@ -182,13 +182,15 @@ def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
     """Predicted bands for potential t*v, v strictly increasing, t large.
 
     Requires v_1 < ... < v_p and t >= 10 / min spacing; raises ConfigError
-    when t*v leaves float64 range.
+    when v_p - v_1 or t*v leaves float64 range.
     """
     v = params.v
     p = params.p
-    spacing = np.diff(v)
-    if np.any(spacing <= 0):
+    if not np.all(v[1:] > v[:-1]):
         raise CriterionViolation("strong-field regime needs strictly increasing v")
+    if not math.isfinite(float(v[-1]) - float(v[0])):  # Python floats: no warning
+        raise ConfigError("potential spacing v_p - v_1 beyond float64 range")
+    spacing = np.diff(v)
     t_min = 10.0 / float(np.min(spacing))
     if t < t_min:
         raise CriterionViolation(

@@ -371,12 +371,6 @@ def _asy_weak(config: RunConfig) -> str:
     mlo, mhi = band_interval(0, params)
     rows = [_ASY_HEADER, _asy_row(0, plo, phi, mlo, mhi)]
 
-    def edge_err(s: float) -> float:
-        sp = RibbonParams(params.N, s * params.v)
-        plo, phi = weak_field_edges(sp)
-        lo, hi = band_interval(0, sp)
-        return max(abs(plo - lo), abs(phi - hi))
-
     # under the flat-band criterion (zero potential included) the first-order
     # center is exact; otherwise the fit runs over max|s*v| = 1e-2 .. 1.25e-3,
     # where the edge error is far above rounding.  A subnormal potential
@@ -385,7 +379,8 @@ def _asy_weak(config: RunConfig) -> str:
     if not flat_band_criterion(params):
         s0 = 1e-2 / float(np.max(np.abs(params.v)))
         if math.isfinite(s0):
-            slope = order_check(edge_err, s0)
+            slope = order_check(lambda s: weak_edge_error(
+                RibbonParams(params.N, s * params.v)), s0)
     rows.append(_order_slope_row(slope))
     return "\n".join(rows) + "\n"
 
@@ -436,34 +431,48 @@ def _asy_strong(config: RunConfig) -> str:
 
     def edge_err(e: float) -> float:
         t = config.t / float(e)  # halving e doubles t; a float overflows with no warning
-        predicted = strong_field(params, t).bands
-        measured = spectrum_report(RibbonParams(params.N, t * params.v)).bands
-        edges = [(plo, phi, lo, hi)
-                 for (plo, phi), (_, lo, hi, _) in zip(predicted, measured)]
+        edges, worst = strong_field_edges(params, t)
         if len(rows) == 1:  # the first scale, e = 1, is the user's t: the table
             rows.extend(_asy_row(site, *edge) for site, edge in enumerate(edges, 1))
-        return max(max(abs(lo - plo), abs(hi - phi)) for plo, phi, lo, hi in edges)
+        return worst
 
     rows.append(_order_slope_row(order_check(edge_err, 1.0)))
     return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: one function per claim, shared with the acceptance tests
 # ---------------------------------------------------------------------------
 
-def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
-    """Self-verification suite; returns (all_passed, check rows).
+ORDER_MIN = 1.9  # the least fitted order that counts as "quadratic"
+
+
+def weak_edge_error(params: RibbonParams) -> float:
+    """Worst error of weak_field_edges against the measured central band."""
+    plo, phi = weak_field_edges(params)
+    lo, hi = band_interval(0, params)
+    return max(abs(plo - lo), abs(phi - hi))
+
+
+def strong_field_edges(params: RibbonParams, t: float) -> tuple[list, float]:
+    """(predicted lo, predicted hi, measured lo, measured hi) per site for
+    the potential t*v, and the worst |predicted - measured| edge error."""
+    predicted = strong_field(params, t).bands
+    measured = spectrum_report(RibbonParams(params.N, t * params.v)).bands
+    edges = [(plo, phi, lo, hi)
+             for (plo, phi), (_, lo, hi, _) in zip(predicted, measured)]
+    return edges, max(max(abs(lo - plo), abs(hi - phi))
+                      for plo, phi, lo, hi in edges)
+
+
+def check_two_route(rng, sections: int, offdiag_shift: float = 0.0) -> tuple:
+    """Periodic sections match their quasimomentum unions to 1e-8.
 
     offdiag_shift is a test hook: a nonzero value breaks the off-diagonal
-    pattern on the tridiagonal side, which the axial-reduction oracle must
-    catch (negative control).
+    pattern on the tridiagonal side, which this check must catch.
     """
-    checks: list[tuple[str, bool, str]] = []
-
-    rng = np.random.default_rng(20240817)
     worst_unmatched, worst_dev = 0, 0.0
-    for _ in range(8):
+    for _ in range(sections):
         N = int(rng.integers(1, 4))
         L = int(rng.integers(3, 11))
         v = rng.uniform(-1.0, 1.0, size=2 * N + 1)
@@ -478,31 +487,29 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
         )
         worst_unmatched = max(worst_unmatched, rep.unmatched_count)
         worst_dev = max(worst_dev, rep.max_pairwise_deviation)
-    checks.append(
-        (
-            "axial-reduction oracle (periodic section vs quasimomentum union)",
+    return ("axial-reduction oracle (periodic section vs quasimomentum union)",
             worst_unmatched == 0,
-            f"worst unmatched={worst_unmatched}, max deviation={worst_dev:.3e}",
-        )
-    )
+            f"worst unmatched={worst_unmatched}, max deviation={worst_dev:.3e}")
 
+
+def check_closed_form(widths, grid) -> tuple:
+    """Zero-potential bands of every N in widths match the closed form to
+    1e-10 on the a grid."""
     worst = 0.0
-    grid = np.linspace(0.0, 2.0, 101)
-    for N in range(1, 5):
+    for N in widths:
         vals = eigenvalues_batch(RibbonParams(N=N), grid)
         closed = np.column_stack(
             [unperturbed_eigenvalue(k, grid, N) for k in range(-N, N + 1)]
         )
         worst = max(worst, float(np.max(np.abs(vals - closed))))
-    checks.append(
-        (
-            "zero-potential closed-form bands",
-            worst <= 1e-10,
-            f"max deviation={worst:.3e}",
-        )
-    )
+    return ("zero-potential closed-form bands", worst <= 1e-10,
+            f"max deviation={worst:.3e}")
 
-    flat_ok = True
+
+def check_flat_band(rng) -> tuple:
+    """Over ten random trials, equal odd-site potentials give an exact flat
+    eigenvector and a band no wider than 1e-10; raising one odd site widens
+    it beyond 1e-5."""
     detail = ""
     for trial in range(10):
         N = int(rng.integers(1, 4))
@@ -512,7 +519,6 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
         resid = verify_flat_eigen(params, FlatBandVector(N, N + 1), 2 * N + 4)
         lo, hi = band_interval(0, params)
         if resid != 0.0 or hi - lo > 1e-10:
-            flat_ok = False
             detail = f"trial {trial}: residual={resid}, width={hi - lo:.3e}"
             break
         site = int(rng.integers(1, N + 1))
@@ -520,47 +526,54 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
         v2[2 * site] += float(rng.uniform(1e-3, 2e-3))
         lo, hi = band_interval(0, RibbonParams(N=N, v=v2))
         if hi - lo <= 1e-5:
-            flat_ok = False
             detail = f"trial {trial}: violated width={hi - lo:.3e} not > 1e-5"
             break
-    checks.append(("flat-band exactness and criterion sharpness", flat_ok, detail))
+    return ("flat-band exactness and criterion sharpness", not detail, detail)
 
-    N = 2
-    w = np.array([0.31, -0.42, 0.11, 0.27, -0.19])
-    agrid = np.linspace(0.0, 2.0, 51)
+
+def check_weak_center_order(w, grid) -> tuple:
+    """max over the a grid of |lambda_0 - weak_field_center| for the
+    potential eps*w, eps = 1e-2 and three halvings, falls at order >=
+    ORDER_MIN."""
+    N = len(w) // 2
 
     def center_err(eps: float) -> float:
-        sp = RibbonParams(N, eps * w)
-        lam0 = eigenvalues_batch(sp, agrid, indices=[N])[:, 0]
-        F = weak_field_center(agrid, sp)
-        return float(np.max(np.abs(lam0 - F)))
+        params = RibbonParams(N, eps * w)
+        lam0 = eigenvalues_batch(params, grid, indices=[N])[:, 0]
+        return float(np.max(np.abs(lam0 - weak_field_center(grid, params))))
 
     slope = order_check(center_err, 1e-2)
-    checks.append(
-        (
-            "weak-field central band first-order error is quadratic",
-            slope is not None and slope >= 1.9,
-            f"slope={slope}",
-        )
-    )
+    return ("weak-field central band first-order error is quadratic",
+            slope is not None and slope >= ORDER_MIN, f"slope={slope}")
 
-    ramp = RibbonParams(1, np.array([1.0, 2.0, 3.0]))
+
+def check_strong_top_width_order(v) -> tuple:
+    """The top band's width under t*v, t = 50 and three doublings, falls at
+    order >= ORDER_MIN in 1/t."""
+    N = len(v) // 2
 
     def top_width(e: float) -> float:
-        t = 50.0 / e
-        sc = RibbonParams(1, t * ramp.v)
-        lo, hi = band_interval(1, sc)
+        lo, hi = band_interval(N, RibbonParams(N, 50.0 / e * v))
         return hi - lo
 
     slope = order_check(top_width, 1.0)
-    checks.append(
-        (
-            "strong-field top band width decays at second order",
-            slope is not None and slope >= 1.9,
-            f"slope={slope} (width ~ t^-slope)",
-        )
-    )
+    return ("strong-field top band width decays at second order",
+            slope is not None and slope >= ORDER_MIN,
+            f"slope={slope} (width ~ t^-slope)")
 
+
+def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
+    """Self-verification suite; returns (all_passed, check rows).  One rng
+    feeds the two-route check first, then the flat-band check."""
+    rng = np.random.default_rng(20240817)
+    checks = [
+        check_two_route(rng, 8, offdiag_shift),
+        check_closed_form(range(1, 5), np.linspace(0.0, 2.0, 101)),
+        check_flat_band(rng),
+        check_weak_center_order(np.array([0.31, -0.42, 0.11, 0.27, -0.19]),
+                                np.linspace(0.0, 2.0, 51)),
+        check_strong_top_width_order(np.array([1.0, 2.0, 3.0])),
+    ]
     return all(ok for _, ok, _ in checks), checks
 
 

@@ -2,7 +2,10 @@
 pass/fail line) each.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 Tolerances are pinned; each test prints its measured margin so a passing
-run doubles as a numbers report.
+run doubles as a numbers report.  Criteria 01, 03, 05 and 08 measure
+through the check and helper functions `ribbonband verify` runs
+(`ribbonband.cli`), on larger instances, so each claim has one measurement
+and one threshold.
 """
 
 import json
@@ -17,23 +20,26 @@ from ribbonband import (
     FlatBandVector,
     RibbonParams,
     band_interval,
-    bloch_union_spectrum,
-    compare_multisets,
     constant_field,
     constant_field_potential,
     eigenvalues_batch,
     first_order_lower_edge,
     first_order_upper_edge,
     order_check,
-    periodic_ribbon_spectrum,
     spectrum_report,
-    strong_field,
-    unperturbed_eigenvalue,
     verify_flat_eigen,
     weak_field_center,
-    weak_field_edges,
 )
-from ribbonband.cli import main
+from ribbonband.cli import (
+    ORDER_MIN,
+    check_closed_form,
+    check_strong_top_width_order,
+    check_two_route,
+    check_weak_center_order,
+    main,
+    strong_field_edges,
+    weak_edge_error,
+)
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -42,22 +48,14 @@ def _line(num: int, ok: bool, text: str) -> None:
 
 
 def test_criterion_01_closed_form_bands_fast_and_tight():
-    grid = np.linspace(0.0, 2.0, 401)
     start = time.perf_counter()
-    worst = 0.0
-    for N in range(1, 9):
-        batch = eigenvalues_batch(RibbonParams(N=N), grid)
-        closed = np.column_stack(
-            [unperturbed_eigenvalue(k, grid, N) for k in range(-N, N + 1)]
-        )
-        worst = max(worst, float(np.max(np.abs(batch - closed))))
+    _, ok, detail = check_closed_form(range(1, 9), np.linspace(0.0, 2.0, 401))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 1.0
     _line(
         1,
-        ok,
-        f"zero-potential bands N=1..8 on 401-point grid: max deviation "
-        f"{worst:.3e} (<= 1e-10), runtime {elapsed:.3f}s (< 1s)",
+        ok and elapsed < 1.0,
+        f"zero-potential bands N=1..8 on 401-point grid: {detail} "
+        f"(<= 1e-10), runtime {elapsed:.3f}s (< 1s)",
     )
 
 
@@ -81,31 +79,9 @@ def test_criterion_02_spectrum_shape_three_rows():
 
 
 def test_criterion_03_two_route_spectra_agree():
-    rng = np.random.default_rng(20260817)
-    worst_unmatched = 0
-    worst_dev = 0.0
-    for _ in range(20):
-        N = int(rng.integers(1, 4))
-        L = int(rng.integers(3, 11))
-        v = rng.uniform(-1.0, 1.0, size=2 * N + 1)
-        norm = float(np.linalg.norm(v))
-        if norm > 1.0:
-            v /= norm
-        params = RibbonParams(N=N, v=v)
-        rep = compare_multisets(
-            periodic_ribbon_spectrum(params, L),
-            bloch_union_spectrum(params, L),
-            1e-8,
-        )
-        worst_unmatched = max(worst_unmatched, rep.unmatched_count)
-        worst_dev = max(worst_dev, rep.max_pairwise_deviation)
-    ok = worst_unmatched == 0
-    _line(
-        3,
-        ok,
-        f"20 random sections vs quasimomentum unions: unmatched "
-        f"{worst_unmatched} (= 0), max pairwise deviation {worst_dev:.2e}",
-    )
+    _, ok, detail = check_two_route(np.random.default_rng(20260817), 20)
+    _line(3, ok, f"20 random sections vs quasimomentum unions: {detail} "
+                 f"(unmatched = 0)")
 
 
 def test_criterion_04_flat_band_exact_and_sharp():
@@ -150,35 +126,16 @@ def test_criterion_04_flat_band_exact_and_sharp():
 
 
 def test_criterion_05_weak_field_is_first_order_accurate():
-    rng = np.random.default_rng(4)
-    w = rng.uniform(-1.0, 1.0, 7)
-    agrid = np.linspace(0.0, 2.0, 51)
-
-    def center_err(eps: float) -> float:
-        params = RibbonParams(N=3, v=eps * w)
-        lam0 = eigenvalues_batch(params, agrid, indices=[3])[:, 0]
-        F = np.array([weak_field_center(float(a), params) for a in agrid])
-        return float(np.max(np.abs(lam0 - F)))
-
-    def edge_err(eps: float) -> float:
-        params = RibbonParams(N=3, v=eps * w)
-        plo, phi = weak_field_edges(params)
-        lo, hi = band_interval(0, params)
-        return max(abs(plo - lo), abs(phi - hi))
-
-    slope_c = order_check(center_err, 1e-2)  # eps = 1e-2 ... 1.25e-3
-    slope_e = order_check(edge_err, 1e-2)
-    ok = (
-        slope_c is not None
-        and slope_c >= 1.9
-        and slope_e is not None
-        and slope_e >= 1.9
-    )
+    w = np.random.default_rng(4).uniform(-1.0, 1.0, 7)
+    _, ok_c, detail_c = check_weak_center_order(w, np.linspace(0.0, 2.0, 51))
+    slope_e = order_check(  # eps = 1e-2 ... 1.25e-3
+        lambda eps: weak_edge_error(RibbonParams(N=3, v=eps * w)), 1e-2)
+    ok = ok_c and slope_e is not None and slope_e >= ORDER_MIN
     _line(
         5,
         ok,
-        f"center error slope {slope_c:.3f}, edge error slope "
-        f"{slope_e:.3f} (both >= 1.9) over eps = 1e-2 .. 1.25e-3",
+        f"center error {detail_c}, edge error slope {slope_e:.3f} "
+        f"(both >= {ORDER_MIN}) over eps = 1e-2 .. 1.25e-3",
     )
 
 
@@ -244,51 +201,40 @@ def test_criterion_07_constant_field_example():
 
 
 def test_criterion_08_strong_field_regime():
-    ts = np.array([50.0, 100.0, 200.0, 400.0])
     slopes = []
     width_rel_worst = 0.0
-    top_slopes = []
+    top_checks = []
     disjoint_ok = True
     for N in (1, 2, 3):
-        p = 2 * N + 1
-        base = RibbonParams(N=N, v=np.arange(1.0, p + 1.0))
-        edge_errs = []
-        top_widths = []
-        for t in ts:
-            est = strong_field(base, float(t))
-            scaled = RibbonParams(N=N, v=t * base.v)
-            worst = 0.0
-            measured = []
-            for site in range(1, p + 1):
-                lo, hi = band_interval(site - 1 - N, scaled)
-                measured.append((lo, hi))
-                plo, phi = est.bands[site - 1]
-                worst = max(worst, abs(lo - plo), abs(hi - phi))
-                if t == ts[-1] and site < p:
-                    width_rel_worst = max(
-                        width_rel_worst,
-                        abs((hi - lo) / est.widths[site - 1] - 1.0),
-                    )
-            edge_errs.append(worst)
-            top_widths.append(measured[-1][1] - measured[-1][0])
-            for (l1, h1), (l2, h2) in zip(measured[:-1], measured[1:]):
-                disjoint_ok = disjoint_ok and h1 < l2
-        slope = np.polyfit(np.log(ts), np.log(edge_errs), 1)[0]
-        slopes.append(float(slope))
-        top_slopes.append(float(np.polyfit(np.log(ts), np.log(top_widths), 1)[0]))
+        ramp = np.arange(1.0, 2 * N + 2.0)
+        edges = []  # the last scale's, t = 400
+
+        def edge_err(e: float) -> float:  # t = 50/e: 50, 100, 200, 400
+            nonlocal edges, disjoint_ok
+            edges, worst = strong_field_edges(RibbonParams(N=N, v=ramp), 50.0 / e)
+            for e1, e2 in zip(edges[:-1], edges[1:]):
+                disjoint_ok = disjoint_ok and e1[3] < e2[2]
+            return worst
+
+        slopes.append(order_check(edge_err, 1.0))
+        # the top site's predicted width is 0
+        for plo, phi, lo, hi in edges[:-1]:
+            width_rel_worst = max(width_rel_worst,
+                                  abs((hi - lo) / (phi - plo) - 1.0))
+        top_checks.append(check_strong_top_width_order(ramp))
     ok = (
-        all(s <= -1.9 for s in slopes)
+        all(s is not None and s >= ORDER_MIN for s in slopes)
         and width_rel_worst <= 0.05
-        and all(s <= -1.9 for s in top_slopes)
+        and all(passed for _, passed, _ in top_checks)
         and disjoint_ok
     )
     _line(
         8,
         ok,
-        f"edge-error slopes in t {['%.2f' % s for s in slopes]} (<= -1.9), "
+        f"edge-error slopes in 1/t {slopes} (>= {ORDER_MIN}), "
         f"widths at t=400 within {width_rel_worst:.2%} (<= 5%), top-band "
-        f"width slopes {['%.2f' % s for s in top_slopes]} (<= -1.9), bands "
-        f"pairwise disjoint: {disjoint_ok}",
+        f"width {'; '.join(d for _, _, d in top_checks)} (slope >= "
+        f"{ORDER_MIN}), bands pairwise disjoint: {disjoint_ok}",
     )
 
 

@@ -29,6 +29,7 @@ from ribbonband import (
     weak_field_center,
     weak_field_edges,
 )
+from ribbonband.cli import check_weak_center_order, strong_field_edges
 
 
 def _weak_field_center_telescoped(a: float, params: RibbonParams) -> float:
@@ -114,21 +115,10 @@ def test_weak_center_two_forms_agree_near_a_equals_one():
 
 
 def test_weak_center_tracks_true_eigenvalue_to_second_order():
-    from ribbonband import eigenvalues_batch
-
     rng = np.random.default_rng(2)
-    w = rng.uniform(-1, 1, 5)
-    grid = np.linspace(0, 2, 41)
-
-    def err(eps: float) -> float:
-        params = RibbonParams(N=2, v=eps * w)
-        lam0 = eigenvalues_batch(params, grid, indices=[2])[:, 0]
-        F = np.array([weak_field_center(float(a), params) for a in grid])
-        return float(np.max(np.abs(lam0 - F)))
-
-    slope = order_check(err, 1e-2)
-    assert slope is not None
-    assert slope >= 1.9
+    _, passed, detail = check_weak_center_order(rng.uniform(-1, 1, 5),
+                                                np.linspace(0, 2, 41))
+    assert passed, detail
 
 
 def test_weak_field_edges_prediction_object():
@@ -297,13 +287,9 @@ def test_strong_field_validations():
 
 
 def test_strong_field_predicts_measured_edges():
-    params = RibbonParams(N=1, v=np.array([1.0, 2.0, 3.0]))
     t = 200.0
-    est = strong_field(params, t)
-    scaled = RibbonParams(N=1, v=t * params.v)
-    for site in (1, 2, 3):
-        mlo, mhi = band_interval(site - 2, scaled)
-        plo, phi = est.bands[site - 1]
+    edges, _ = strong_field_edges(RibbonParams(N=1, v=np.array([1.0, 2.0, 3.0])), t)
+    for plo, phi, mlo, mhi in edges:
         assert abs(mlo - plo) <= 20.0 / t**2
         assert abs(mhi - phi) <= 20.0 / t**2
 

@@ -390,7 +390,7 @@ def test_numerical_error_exit_3(capsys, monkeypatch):
     import ribbonband.cli as cli_mod
 
     def boom(config):
-        raise NumericalError("synthetic bisection stall")
+        raise NumericalError("synthetic eigensolver failure")
 
     monkeypatch.setattr(cli_mod, "cmd_bands", boom)
     code, _, err = run(["bands", "--N", "1"], capsys)
@@ -441,6 +441,21 @@ def test_strong_coupling_beyond_float_range_exits_2_without_warning(t):
                          "--potential", "ramp", "--t", t])
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("potential,t,code,prefix", [
+    ("-1e308,1e308,1.5e308", "1", 2, "config error:"),  # v_p - v_1 overflows
+    ("1e308,-1e308,1e308", "100", 4, "criterion violation:"),  # not increasing
+], ids=["spacing-overflow", "not-increasing"])
+def test_strong_potential_spacing_beyond_float_range_exits_without_warning(
+        potential, t, code, prefix):
+    # the strong-field checks compare entries before any spacing is formed
+    proc = _run_process(["asymptotics", "--N", "1", "--mode", "strong",
+                         f"--potential={potential}", "--t", t])
+    assert proc.returncode == code
+    assert prefix in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -506,11 +521,22 @@ def test_verify_passes_clean(capsys):
 
 
 def test_verify_catches_corrupted_offdiagonal(capsys):
+    # only the two-route check sees the tridiagonal side's off-diagonals
     code, out, _ = run(
         ["verify", "--selftest-corrupt-offdiag", "1e-6"], capsys
     )
     assert code == 1
-    assert "FAIL" in out.split("\n")[0]
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("FAIL axial-reduction oracle")
+    assert all(line.startswith("PASS") for line in lines[1:5])
+    assert lines[5] == "verification FAILED"
+
+
+def test_verify_nan_offdiagonal_exits_3(capsys):
+    code, out, err = run(["verify", "--selftest-corrupt-offdiag", "nan"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:")
 
 
 def test_verify_json_format(capsys):
@@ -518,4 +544,10 @@ def test_verify_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"] is True
-    assert len(doc["checks"]) == 5
+    assert [c["name"] for c in doc["checks"]] == [
+        "axial-reduction oracle (periodic section vs quasimomentum union)",
+        "zero-potential closed-form bands",
+        "flat-band exactness and criterion sharpness",
+        "weak-field central band first-order error is quadratic",
+        "strong-field top band width decays at second order",
+    ]

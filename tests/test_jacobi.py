@@ -48,7 +48,7 @@ def test_offdiag_pattern_alternates():
     np.testing.assert_array_equal(_offdiagonals(3, [0.0]), [[0.0, 1.0]])
 
 
-def test_jacobi_matrix_layout():
+def test_tridiagonal_stack_layout():
     # one row of p - 1 off-diagonals per a; the kernel's dense matrix has
     # diagonal v and that row on both sides of it
     v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -60,7 +60,7 @@ def test_jacobi_matrix_layout():
         np.testing.assert_array_equal(stack[r], _dense(v, off[r]))
 
 
-def test_jacobi_matrix_rejects_a_outside_range():
+def test_eigenvalues_batch_rejects_a_outside_range():
     # the [0, 2] check on a lives in eigenvalues_batch
     params = RibbonParams(N=1)
     for a in (-0.1, 2.1):
@@ -263,7 +263,7 @@ def test_nodes_and_unperturbed_values():
         unperturbed_eigenvalue(3, 1.0, 2)
 
 
-def test_bisection_agrees_with_closed_form_three_ribbons():
+def test_eigenvalues_batch_agrees_with_closed_form_three_ribbons():
     grid = np.linspace(0.0, 2.0, 101)
     for N in (1, 2, 3):
         batch = eigenvalues_batch(RibbonParams(N=N), grid)
