@@ -40,13 +40,12 @@ def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 2.0, points)
 
 
-def band_function(k: int, params: RibbonParams, grid=None) -> np.ndarray:
-    """Samples of lambda_k over the a grid (k-th sorted eigenvalue)."""
+def band_function(k: int, params: RibbonParams) -> np.ndarray:
+    """Samples of lambda_k over default_grid() (k-th sorted eigenvalue)."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    return eigenvalues_batch(params, grid, indices=[k + N])[:, 0]
+    return eigenvalues_batch(params, default_grid())[:, k + N]
 
 
 def _scan_and_refine(params: RibbonParams, indices):
@@ -58,7 +57,7 @@ def _scan_and_refine(params: RibbonParams, indices):
     """
     grid = default_grid()
     indices = np.asarray(indices)
-    values = eigenvalues_batch(params, grid, indices=indices)
+    values = eigenvalues_batch(params, grid)[:, indices]
 
     def f(cols, a):
         return _eigenvalue_slopes(params, a, indices[cols])

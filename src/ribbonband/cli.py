@@ -539,7 +539,7 @@ def check_weak_center_order(w, grid) -> tuple:
 
     def center_err(eps: float) -> float:
         params = RibbonParams(N, eps * w)
-        lam0 = eigenvalues_batch(params, grid, indices=[N])[:, 0]
+        lam0 = eigenvalues_batch(params, grid)[:, N]
         return float(np.max(np.abs(lam0 - weak_field_center(grid, params))))
 
     slope = order_check(center_err, 1e-2)

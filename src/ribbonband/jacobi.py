@@ -7,8 +7,8 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 
   * the t -> a map and the off-diagonal pattern (_offdiagonals),
   * one eigenvalue kernel, eigenvalues(params, off), for single matrices,
-    a grids and the oracle's Bloch rows: closed form for the decoupled
-    a = 0 rows, LAPACK (numpy.linalg.eigvalsh) on dense stacks otherwise,
+    a grids and the oracle's Bloch rows: LAPACK (numpy.linalg.eigvalsh)
+    on dense stacks for every row, a = 0 included,
   * eigenvalues with their a-slopes (Hellmann-Feynman, numpy.linalg.eigh),
     for the refinement of band extrema; both LAPACK routes share one
     stack loop (_solve_stacks),
@@ -39,7 +39,7 @@ def _offdiagonals(p: int, a_values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: LAPACK on dense stacks, closed form at a = 0
+# Eigenvalues: LAPACK on dense stacks
 # ---------------------------------------------------------------------------
 
 def _sturm_counts_batch(diag: np.ndarray, bsq: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,9 +97,8 @@ def eigenvalues(params: RibbonParams, off) -> np.ndarray:
     """All eigenvalues of each tridiagonal matrix (params.v, off[r]),
     ascending: shape (rows, p), position i holds band index i - N.
 
-    Rows that are exactly the a = 0 pattern take the closed form (exact
-    multiplicities); the rest, in or off the pattern, go to LAPACK through
-    _solve_stacks, so a row's values do not depend on the rows beside it.
+    Every row goes to LAPACK through _solve_stacks, which solves each matrix
+    on its own, so a row's values do not depend on the rows beside it.
     Raises ConfigError unless off is 2-D with p - 1 columns, and
     NumericalError on a non-finite result or a failed solve.
     """
@@ -108,12 +107,8 @@ def eigenvalues(params: RibbonParams, off) -> np.ndarray:
     if off.ndim != 2 or off.shape[1] != p - 1:
         raise ConfigError(f"off-diagonals need shape (rows, {p - 1}), got {off.shape}")
     out = np.empty((off.shape[0], p))
-    decoupled = np.all(off == _offdiagonals(p, [0.0]), axis=1)
-    if decoupled.any():
-        out[decoupled] = decoupled_eigenvalues(params)
-    general = np.flatnonzero(~decoupled)
-    for rows, w in _solve_stacks(np.linalg.eigvalsh, params.v, off[general]):
-        out[general[rows]] = w
+    for rows, w in _solve_stacks(np.linalg.eigvalsh, params.v, off):
+        out[rows] = w
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
     return out
@@ -138,41 +133,14 @@ def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
     return lam, slope
 
 
-def eigenvalues_batch(params: RibbonParams, a_values, *, indices=None) -> np.ndarray:
-    """Eigenvalues of J_a for every a in a_values, ascending in each row.
-
-    Returns shape (len(a_values), p); with a 1-D list of m indices, shared
-    by every row, (len(a_values), m).
-    """
+def eigenvalues_batch(params: RibbonParams, a_values) -> np.ndarray:
+    """Eigenvalues of J_a for every a in a_values, ascending in each row:
+    shape (len(a_values), p).  Raises ConfigError unless every a lies in
+    [0, 2]."""
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
     if not np.all((a_values >= 0) & (a_values <= 2)):
         raise ConfigError("a values must lie in [0, 2]")
-    p = params.p
-    if indices is not None:
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        if idx.ndim != 1:
-            raise ConfigError(f"indices must be 1-D, got shape {idx.shape}")
-        if np.any((idx < 0) | (idx >= p)):
-            raise ConfigError(f"eigenvalue indices must lie in 0..{p - 1}")
-    vals = eigenvalues(params, _offdiagonals(p, a_values))
-    return vals if indices is None else vals[:, idx]
-
-
-def decoupled_eigenvalues(params: RibbonParams) -> np.ndarray:
-    """Closed-form spectrum of J_0: block v_1 plus N 2x2 blocks.
-
-    At a = 0 the first site decouples and the rest pairs up as
-    [[v_{2k}, 1], [1, v_{2k+1}]], k = 1..N.  Halves are taken before the
-    sums, so potentials up to the float64 limit do not overflow.
-    """
-    v = params.v
-    vals = [v[0]]
-    for k in range(1, params.N + 1):
-        x, y = v[2 * k - 1], v[2 * k]
-        mean, half = 0.5 * x + 0.5 * y, 0.5 * x - 0.5 * y
-        r = math.hypot(half, 1.0)
-        vals.extend((mean - r, mean + r))
-    return np.sort(np.asarray(vals))
+    return eigenvalues(params, _offdiagonals(params.p, a_values))
 
 
 # ---------------------------------------------------------------------------

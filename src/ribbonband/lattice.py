@@ -70,7 +70,9 @@ def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
     couplings mod L and require L >= 3 so no wrap edge is double counted;
     open sections drop couplings that leave 0..L-1.
 
-    Returns a symmetric scipy.sparse.csr_matrix.
+    Returns a symmetric scipy.sparse.csr_matrix.  Raises ConfigError on an
+    unknown boundary, on L < 2 (open) or L < 3 (periodic), and beyond
+    DENSE_SIZE_CAP rows.
     """
     import scipy.sparse as sp  # here, not at the top: keeps scipy out of CLI start-up
     p = params.p
@@ -84,33 +86,20 @@ def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
             f"section size {size} exceeds the dense cap {DENSE_SIZE_CAP}"
         )
 
-    H = sp.lil_matrix((size, size))
-
-    def site(n: int, k: int) -> int | None:
-        # k is 1-based transverse index; returns flat row or None if dropped
-        if boundary == PERIODIC:
-            n %= L
-        elif n < 0 or n >= L:
-            return None
-        return n * p + (k - 1)
-
-    for n in range(L):
-        for k in range(1, p + 1):
-            i = site(n, k)
-            H[i, i] = params.v[k - 1]
-        # intra-cell chain edges (k, k+1)
-        for k in range(1, p):
-            i, j = site(n, k), site(n, k + 1)
-            H[i, j] = 1.0
-            H[j, i] = 1.0
-        # cross edges (n, 2k+1) ~ (n-1, 2k+2), k = 0..N-1
-        for k in range(params.N):
-            i = site(n, 2 * k + 1)
-            j = site(n - 1, 2 * k + 2)
-            if j is not None:
-                H[i, j] = 1.0
-                H[j, i] = 1.0
-    return H.tocsr()
+    n = np.arange(L)[:, None]
+    diag = np.arange(size)
+    # intra-cell chain edges (k, k+1)
+    chain = (n * p + np.arange(p - 1)).ravel()
+    # cross edges (n, 2k+1) ~ (n-1, 2k+2), k = 0..N-1; open sections drop n = 0
+    m = n if boundary == PERIODIC else n[1:]
+    cross = (m * p + 2 * np.arange(params.N)).ravel()
+    cross_prev = ((m - 1) % L * p + 2 * np.arange(params.N) + 1).ravel()
+    i = np.concatenate([chain, cross])
+    j = np.concatenate([chain + 1, cross_prev])
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    vals = np.concatenate([np.tile(params.v, L), np.ones(2 * i.size)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -160,11 +149,13 @@ def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> floa
     Exactly 0.0 when the flat-band criterion holds (the computation stays in
     small integers plus bitwise-identical potential products); strictly
     positive when some odd entry differs from v_1.  Raises ConfigError when
-    psi and params disagree on N, and CriterionViolation when the support
-    of psi leaves the open section 0..L-1.
+    psi and params disagree on N or when L < 2 (build_ribbon's open-section
+    check, made before psi is placed), and CriterionViolation when the
+    support of psi leaves the open section 0..L-1.
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")
+    H = build_ribbon(params, L, OPEN)
     state = psi.to_state(L).ravel()
-    resid = build_ribbon(params, L, OPEN) @ state - params.v[0] * state
+    resid = H @ state - params.v[0] * state
     return float(np.max(np.abs(resid)))

@@ -97,7 +97,7 @@ def test_criterion_04_flat_band_exact_and_sharp():
         params = RibbonParams(N=N, v=v)
         resid = verify_flat_eigen(params, FlatBandVector(N, N + 1), 2 * N + 4)
         worst_resid = max(worst_resid, abs(resid))
-        samples = eigenvalues_batch(params, grid, indices=[N])[:, 0]
+        samples = eigenvalues_batch(params, grid)[:, N]
         worst_flat_width = max(
             worst_flat_width, float(samples.max() - samples.min())
         )
@@ -105,9 +105,7 @@ def test_criterion_04_flat_band_exact_and_sharp():
         v2 = v.copy()
         site = int(rng.integers(1, N + 1))
         v2[2 * site] += float(rng.uniform(1e-3, 2e-3)) * (-1) ** site
-        samples = eigenvalues_batch(
-            RibbonParams(N=N, v=v2), grid, indices=[N]
-        )[:, 0]
+        samples = eigenvalues_batch(RibbonParams(N=N, v=v2), grid)[:, N]
         min_violated_width = min(
             min_violated_width, float(samples.max() - samples.min())
         )

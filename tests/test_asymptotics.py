@@ -294,6 +294,19 @@ def test_strong_field_predicts_measured_edges():
         assert abs(mhi - phi) <= 20.0 / t**2
 
 
+def test_strong_field_edges_beside_a_huge_site():
+    # at a = 0 site 3 (potential 1e301) decouples into the block
+    # [[20, 1], [1, 1e301]], whose small eigenvalue is 20 - 1e-301; a closed
+    # form mean - hypot(half, 1) cancelled it to 0, and band 1's lower edge
+    # read 0 against a prediction of 9.6
+    t = 10.0
+    edges, _ = strong_field_edges(RibbonParams(N=1, v=np.array([1.0, 2.0, 1e300])), t)
+    assert edges[0][2] > 9.0
+    for plo, phi, mlo, mhi in edges:
+        assert abs(mlo - plo) <= 20.0 / t**2
+        assert abs(mhi - phi) <= 20.0 / t**2
+
+
 def test_strong_field_bands_disjoint_and_ordered():
     params = RibbonParams(N=2, v=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     est = strong_field(params, 50.0)

@@ -73,14 +73,13 @@ def test_default_grid_covers_parameter_range():
 
 def test_band_function_traces_one_eigenvalue_branch():
     params = RibbonParams(N=1)
-    grid = np.linspace(0, 2, 21)
     np.testing.assert_allclose(
-        band_function(1, params, grid),
-        unperturbed_eigenvalue(1, grid, 1),
+        band_function(1, params),
+        unperturbed_eigenvalue(1, default_grid(), 1),
         atol=1e-11,
     )
     np.testing.assert_allclose(
-        band_function(0, params, grid), np.zeros(21), atol=1e-11
+        band_function(0, params), np.zeros(401), atol=1e-11
     )
 
 
@@ -104,13 +103,24 @@ def test_band_interval_frozen_values():
     assert hi == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_unbalanced_block_edge_at_a_zero_keeps_its_digits():
+    # J_0 holds the block [[3, 1], [1, 1e6]]: its small eigenvalue is band
+    # 1's value at a = 0 and its lower edge.  A 50-digit mpmath solve gives
+    # 2.99999899999699999...; the closed form mean - hypot(half, 1) lost
+    # five digits to cancellation (2.9999989999923855).
+    params = RibbonParams(N=2, v=np.array([0.0, 3.0, 1e6, -2.0, 0.5]))
+    reference = 2.999998999997
+    assert eigenvalues_batch(params, [0.0])[0, 3] == pytest.approx(reference, rel=1e-14)
+    assert band_interval(1, params)[0] == pytest.approx(reference, rel=1e-14)
+
+
 def test_band_interval_interior_minimum_is_refined():
     # the grid does not contain the exact minimizer a = cos(pi/3) region
     # minimum sqrt(3)/2; a coarse grid must still land on it via refinement
     # (default_grid() holds a = 0.5, so band_interval's own scan would not
     # test this: refine band 1 from 11 points as band_interval does)
     params, grid, band = RibbonParams(N=2), np.linspace(0, 2, 11), np.array([3])
-    values = eigenvalues_batch(params, grid, indices=band)
+    values = eigenvalues_batch(params, grid)[:, band]
     _, fx = refine_extremum(lambda cols, a: _eigenvalue_slopes(params, a, band[cols]),
                             grid, values)
     assert fx[0, 0] == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
@@ -203,10 +213,7 @@ def test_flatness_equivalence_on_random_potentials(seed):
 def test_monotone_band_ordering_random_potential():
     rng = np.random.default_rng(23)
     params = RibbonParams(N=3, v=rng.uniform(-0.5, 0.5, 7))
-    grid = np.linspace(0, 2, 31)
-    values = np.column_stack(
-        [band_function(k, params, grid) for k in range(-3, 4)]
-    )
+    values = np.column_stack([band_function(k, params) for k in range(-3, 4)])
     assert np.all(np.diff(values, axis=1) >= -1e-12)
 
 
@@ -314,7 +321,7 @@ def test_report_edges_at_least_as_extreme_as_golden_reference():
         tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
         for j, (_, lo, hi, _) in enumerate(bands):
             def f(a, j=j):
-                return float(eigenvalues_batch(params, [a], indices=[j])[0, 0])
+                return float(eigenvalues_batch(params, [a])[0, j])
 
             col = values[:, j]
             assert lo <= _refine_scalar(f, grid, col, 1.0)[1] + tol

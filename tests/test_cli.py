@@ -203,6 +203,16 @@ def test_flatband_boundary_clash_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("L", ["1", "0", "-5"])
+def test_flatband_section_too_short_exits_2(L, capsys):
+    # an open section needs L >= 2 whatever the anchor: a config error,
+    # not a support that leaves the section
+    code, _, err = run(["flatband", "--N", "1", "--potential", "0.5,0,0.5",
+                        "--L", L], capsys)
+    assert code == 2
+    assert f"L={L} too small for boundary=open" in err
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------

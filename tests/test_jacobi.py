@@ -1,5 +1,5 @@
 """Tridiagonal family: the one eigenvalue kernel against the dense rotation
-oracle, the decoupled a = 0 blocks, and the zero-potential closed forms."""
+oracle, the closed-form a = 0 blocks, and the zero-potential closed forms."""
 
 import math
 import warnings
@@ -22,13 +22,31 @@ from ribbonband import (
     sin_node,
     unperturbed_eigenvalue,
 )
-from ribbonband.jacobi import _offdiagonals, _tridiagonal_stack, decoupled_eigenvalues
+from ribbonband.jacobi import _offdiagonals, _tridiagonal_stack
 
 
 def _dense(v, off):
     """Dense tridiagonal matrix (v, off), built here so the oracle's input
     does not come from the production stack."""
     return np.diag(v) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _decoupled_eigenvalues(params):
+    """Closed-form spectrum of J_0, a reference for the kernel's a = 0 rows.
+
+    At a = 0 the first site decouples and the rest pairs up as
+    [[v_{2k}, 1], [1, v_{2k+1}]], k = 1..N.  The small root mean - hypot
+    loses digits to cancellation when the block's diagonal is far from
+    balanced, so compare it only on moderate potentials.
+    """
+    v = params.v
+    vals = [v[0]]
+    for k in range(1, params.N + 1):
+        x, y = v[2 * k - 1], v[2 * k]
+        mean, half = 0.5 * x + 0.5 * y, 0.5 * x - 0.5 * y
+        r = math.hypot(half, 1.0)
+        vals.extend((mean - r, mean + r))
+    return np.sort(np.asarray(vals))
 
 
 def test_a_of_t_special_values():
@@ -105,20 +123,6 @@ def test_eigenvalues_batch_consistent_with_single_solves():
         )
 
 
-def test_eigenvalues_batch_index_selection():
-    params = RibbonParams(N=2)
-    grid = np.linspace(0.0, 2.0, 7)
-    full = eigenvalues_batch(params, grid)
-    sel = eigenvalues_batch(params, grid, indices=[2])
-    np.testing.assert_allclose(sel[:, 0], full[:, 2], atol=1e-12)
-    with pytest.raises(ConfigError):
-        eigenvalues_batch(params, [2.5])
-    with pytest.raises(TypeError):
-        eigenvalues_batch(params, grid, [2])  # indices is keyword-only
-    with pytest.raises(ConfigError):
-        eigenvalues_batch(params, grid, indices=[[2]] * 7)  # 1-D only
-
-
 def test_eigenvalues_batch_rejects_nan():
     for a in ([np.nan], [0.5, np.nan]):
         with pytest.raises(ConfigError):
@@ -126,8 +130,7 @@ def test_eigenvalues_batch_rejects_nan():
 
 
 def test_eigenvalues_batch_rows_match_single_solves_bitwise():
-    # each row is bit for bit the solve of that row alone; the zero
-    # potential has exact multiplicities
+    # each row is bit for bit the solve of that row alone
     a = np.array([0.0, 0.3, 1.0, 1.7, 2.0, 0.3])
     for v in (np.zeros(5), np.array([0.2, -0.3, 0.5, 0.1, -0.4])):
         params = RibbonParams(N=2, v=v)
@@ -145,8 +148,7 @@ def test_eigenvalues_batch_rows_match_single_solves_bitwise():
     st.integers(0, 2**32 - 1),
 )
 def test_eigenvalues_batch_matches_rotation_oracle(N, a, scale, seed):
-    # every row against the independent Jacobi-rotation solver; shared
-    # indices pick bit for bit from the full row
+    # every row against the independent Jacobi-rotation solver
     rng = np.random.default_rng(seed)
     params = RibbonParams(N=N, v=scale * rng.uniform(-1.0, 1.0, 2 * N + 1))
     a = np.array(a)
@@ -156,9 +158,6 @@ def test_eigenvalues_batch_matches_rotation_oracle(N, a, scale, seed):
         oracle = dense_symmetric_eig(_dense(params.v, off))
         np.testing.assert_allclose(full[r], oracle, rtol=0,
                                    atol=1e-10 * max(1.0, scale))
-    idx = rng.integers(0, params.p, size=3)
-    np.testing.assert_array_equal(eigenvalues_batch(params, a, indices=idx),
-                                  full[:, idx])
 
 
 def test_eigenvalues_batch_rows_equal_across_stacks(monkeypatch):
@@ -206,7 +205,7 @@ def test_eigenvalues_non_finite_offdiagonal_raises_typed():
 def test_decoupled_limit_matches_general_path():
     v = np.array([0.3, 1.0, -0.5, 0.2, 0.8])
     params = RibbonParams(N=2, v=v)
-    closed = decoupled_eigenvalues(params)
+    closed = _decoupled_eigenvalues(params)
     # v1 splits off; pairs are mean +- hypot of the 2x2 blocks
     assert 0.3 in closed
     off = _offdiagonals(5, [0.0])
