@@ -138,13 +138,16 @@ def spectrum_report(params: RibbonParams) -> SpectrumReport:
     """Measure every band interval and assemble gaps/windows; raises
     NumericalError when the band edges span beyond float64 range.
 
-    Band k = 0 is flat exactly when flat_band_criterion holds; no band is
-    judged flat by its measured width.
+    Band k = 0 is flat exactly when flat_band_criterion holds, and is then
+    reported as exactly [v_1, v_1]; no band is judged flat by its measured
+    width.
     """
     fx = _scan_and_refine(params, np.arange(params.p))
-    flat = flat_band_criterion(params)
-    rows = [(j - params.N, float(fx[0, j]), float(fx[1, j]), flat and j == params.N)
+    rows = [(j - params.N, float(fx[0, j]), float(fx[1, j]), False)
             for j in range(params.p)]
+    if flat_band_criterion(params):
+        v1 = float(params.v[0])
+        rows[params.N] = (0, v1, v1, True)
     if rows[-1][2] - rows[0][1] == float("inf"):
         raise NumericalError("band edges span beyond float64 range")
     edge_tol = 1e-10 * max(1.0, float(np.max(np.abs(params.v))))

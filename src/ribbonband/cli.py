@@ -10,15 +10,17 @@ Each subcommand accepts only the flags it reads (_COMMANDS):
     verify       --format --out --config
 
 --potential takes <name|path|comma-list>, --format csv|json.  A config
-file is flat ``key = value`` text whose keys are the same flag names;
+file is flat ``key = value`` text whose keys are the same flag names; its
+lines are read as ``--key=value`` flags ahead of the command line's, so
 command-line flags override file values, and a flag or key the
 subcommand does not read is a config error.  Exit codes: 0 ok,
-1 verification failure, 2 config error (an unreadable input file or an
-unwritable --out included), 3 numerical error, 4 criterion violation.
+1 verification failure, 2 config error (a bad value or choice, an
+unreadable input file or an unwritable --out included), 3 numerical
+error, 4 criterion violation.
 
-Numbers are serialized with 15 significant digits, fixed-point for
-magnitudes in [1e-4, 1e15) and scientific otherwise, so identical configs
-give byte-identical output.
+Numbers are serialized with 15 significant digits (``#.15g``):
+fixed-point when the magnitude rounded to 15 digits lies in [1e-4, 1e15),
+scientific otherwise, so identical configs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,24 +56,12 @@ from .oracle import bloch_union_spectrum, compare_multisets, periodic_ribbon_spe
 
 
 def fmt15(x: float) -> str:
-    """15 significant digits; fixed notation for 1e-4 <= |x| < 1e15 (and 0),
-    scientific otherwise."""
+    """15 significant digits; fixed notation when |x| rounded to 15 digits
+    is 0 or in [1e-4, 1e15), scientific otherwise.  -0.0 prints as 0."""
     x = float(x)
     if not math.isfinite(x):
         raise NumericalError(f"non-finite result {x}")
-    if x == 0.0:
-        return "0.00000000000000"
-    ax = abs(x)
-    if 1e-4 <= ax < 1e15:
-        lg = math.log10(ax)
-        lead = math.floor(lg)  # decimal exponent of the leading digit
-        if not 1e-14 < lg - lead < 1.0 - 1e-14:
-            # near a power of ten log10 may round across it, and rounding
-            # to 15 digits may carry into it: take the rounded exponent
-            lead = int(f"{x:.14e}"[-3:])
-        if lead < 15:
-            return f"{x:.{14 - lead}f}"
-    return f"{x:.14e}"
+    return format(x + 0.0, "#.15g").removesuffix(".")
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +131,27 @@ def resolve_potential(text: str, N: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError(text)
-    return text
+def _params(config: argparse.Namespace) -> RibbonParams:
+    """The ribbon named by --N and --potential."""
+    return RibbonParams(N=config.N, v=resolve_potential(config.potential, config.N))
 
 
-# Every flag a subcommand can read: name -> (cast, help).  The same names
-# are the config-file keys.
+# Every flag a subcommand can read, as add_argument keywords.  The same
+# names are the config-file keys.
 _FLAGS = {
-    "N": (int, "ribbon half-width (default 1)"),
-    "potential": (str, "zero | ramp | constant-field EPS | linear-odd EPS | "
-                       "comma-list | file path (default zero)"),
-    "grid": (int, f"a-grid points of the CSV rows, odd and >= 3 (default "
-                  f"{DEFAULT_GRID_POINTS}); the report always seeds from the default"),
-    "mode": (str, "weak | edges | constant-field | strong"),
-    "t": (float, "strong-field coupling"),
-    "m": (int, "anchor cell (default N)"),
-    "L": (int, "section length (default 2N+4)"),
-    "format": (_format, "csv | json (default csv)"),
-    "out": (str, "output path (default stdout)"),
+    "N": dict(type=int, default=1, help="ribbon half-width (default %(default)s)"),
+    "potential": dict(default="zero", help="zero | ramp | constant-field EPS | "
+                      "linear-odd EPS | comma-list | file path (default %(default)s)"),
+    "grid": dict(type=int, default=DEFAULT_GRID_POINTS,
+                 help="a-grid points of the CSV rows, odd and >= 3 (default "
+                      "%(default)s); the report always seeds from the default"),
+    "mode": dict(choices=("weak", "edges", "constant-field", "strong"),
+                 help="asymptotic regime"),
+    "t": dict(type=float, help="strong-field coupling"),
+    "m": dict(type=int, help="anchor cell (default N)"),
+    "L": dict(type=int, help="section length (default 2N+4)"),
+    "format": dict(choices=("csv", "json"), default="csv", help="(default %(default)s)"),
+    "out": dict(help="output path (default stdout)"),
 }
 
 # subcommand -> (help, the flags it reads)
@@ -177,31 +166,11 @@ _COMMANDS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration (file values overridden by flags); the
-    fields are the flag names."""
-
-    N: int = 1
-    potential: str = "zero"
-    grid: int = DEFAULT_GRID_POINTS
-    mode: str | None = None
-    t: float | None = None
-    m: int | None = None
-    L: int | None = None
-    format: str = "csv"
-    out: str | None = None
-
-    @cached_property
-    def params(self) -> RibbonParams:
-        return RibbonParams(N=self.N, v=resolve_potential(self.potential, self.N))
-
-
-def parse_config_file(path: str, command: str) -> dict:
-    """Flat key = value lines, '#' starting a comment; the keys are the
-    names of the flags the command reads.  Values are returned as text."""
+def parse_config_file(path: str, command: str) -> list[str]:
+    """Flat key = value lines, '#' starting a comment, as --key=value
+    arguments; the keys are the names of the flags the command reads."""
     keys = _COMMANDS[command][1]
-    out: dict = {}
+    args = []
     for lineno, line in enumerate(_read_text(path, "config file").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -213,24 +182,8 @@ def parse_config_file(path: str, command: str) -> dict:
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: {command} does not read key "
                               f"{key!r} (it reads {', '.join(keys)})")
-        out[key] = value.strip()
-    return out
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Config-file values overridden by flags, each cast once."""
-    text = parse_config_file(args.config, args.command) if args.config else {}
-    for flag in _COMMANDS[args.command][1]:
-        if getattr(args, flag) is not None:
-            text[flag] = getattr(args, flag)
-    values = {}
-    for key, raw in text.items():
-        cast, help_text = _FLAGS[key]
-        try:
-            values[key] = cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value {raw!r} for {key}: {help_text}") from exc
-    return RunConfig(**values)
+        args.append(f"--{key}={value.strip()}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +196,7 @@ def _report_dict(params: RibbonParams) -> dict:
     for k, lo, hi, is_flat in rep.bands:
         row = {"k": k, "lo": lo, "hi": hi, "flat": bool(is_flat)}
         if is_flat:
-            row["value"] = 0.5 * lo + 0.5 * hi
+            row["value"] = lo
         bands.append(row)
     return {
         "N": params.N,
@@ -272,10 +225,10 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_bands(config: RunConfig) -> tuple[str, dict]:
+def cmd_bands(config: argparse.Namespace) -> tuple[str, dict]:
     """Band CSV (one row per --grid point) plus the spectrum report, whose
     edges are seeded from default_grid() whatever --grid says."""
-    params, grid = config.params, default_grid(config.grid)
+    params, grid = _params(config), default_grid(config.grid)
     values = eigenvalues_batch(params, grid)
     N = params.N
     header = "a," + ",".join(f"lambda_{k}" for k in range(-N, N + 1))
@@ -290,9 +243,9 @@ def cmd_bands(config: RunConfig) -> tuple[str, dict]:
 # flatband
 # ---------------------------------------------------------------------------
 
-def cmd_flatband(config: RunConfig) -> dict:
+def cmd_flatband(config: argparse.Namespace) -> dict:
     """Flat-band eigenvector rows (exact integers) and verified residual."""
-    params = config.params
+    params = _params(config)
     m = params.N if config.m is None else config.m
     L = 2 * params.N + 4 if config.L is None else config.L
     if not flat_band_criterion(params):
@@ -349,7 +302,7 @@ def _asy_row(label, plo, phi, mlo, mhi) -> str:
     return ",".join(cells)
 
 
-def cmd_asymptotics(config: RunConfig) -> str:
+def cmd_asymptotics(config: argparse.Namespace) -> str:
     """Prediction-vs-measurement CSV for one asymptotic regime."""
     modes = {"weak": _asy_weak, "edges": _asy_edges,
              "constant-field": _asy_constant_field, "strong": _asy_strong}
@@ -365,8 +318,8 @@ def _order_slope_row(slope: float | None) -> str:
     return f"order_slope,{'' if slope is None else fmt15(slope)},,,,,"
 
 
-def _asy_weak(config: RunConfig) -> str:
-    params = config.params
+def _asy_weak(config: argparse.Namespace) -> str:
+    params = _params(config)
     plo, phi = weak_field_edges(params)
     mlo, mhi = band_interval(0, params)
     rows = [_ASY_HEADER, _asy_row(0, plo, phi, mlo, mhi)]
@@ -385,8 +338,8 @@ def _asy_weak(config: RunConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _asy_edges(config: RunConfig) -> str:
-    params = config.params
+def _asy_edges(config: argparse.Namespace) -> str:
+    params = _params(config)
     N = params.N
     predicted = {}
     for k in [k for k in range(-N, N + 1) if k != 0]:
@@ -407,14 +360,14 @@ def _asy_edges(config: RunConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _asy_constant_field(config: RunConfig) -> str:
+def _asy_constant_field(config: argparse.Namespace) -> str:
     named = _named_potential(config.potential)
     if named is None or named[0] != "constant-field":
         raise ConfigError(
             "constant-field mode needs --potential 'constant-field EPS'"
         )
     plo, phi, cp = constant_field(config.N, named[1])
-    mlo, mhi = band_interval(0, config.params)
+    mlo, mhi = band_interval(0, _params(config))
     rows = [
         _ASY_HEADER,
         _asy_row(0, plo, phi, mlo, mhi),
@@ -423,10 +376,10 @@ def _asy_constant_field(config: RunConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _asy_strong(config: RunConfig) -> str:
+def _asy_strong(config: argparse.Namespace) -> str:
     if config.t is None:
         raise ConfigError("strong mode needs --t")
-    params = config.params
+    params = _params(config)
     rows = [_ASY_HEADER]
 
     def edge_err(e: float) -> float:
@@ -599,12 +552,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "Band structure of a zigzag nanoribbon tight-binding model in a "
             "transverse potential, via its tridiagonal axial reduction."
         ),
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False,
+                            exit_on_error=False)
         for flag in flags:
-            sp.add_argument(f"--{flag}", help=_FLAGS[flag][1])
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--config", help="flat key = value file, keys named as "
                         "the flags (flags override)")
         if command == "verify":
@@ -618,28 +573,35 @@ def _json_text(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     try:
-        config = build_config(args)
-        json_out = config.format == "json"
+        args = parser.parse_args(argv)
+        if args.config:
+            # file values go right after the subcommand: the command line's
+            # own flags come later, and argparse keeps the last value
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + parse_config_file(
+                args.config, args.command) + argv[at:])
+        json_out = getattr(args, "format", "csv") == "json"
         if args.command == "bands":
-            csv_text, report = cmd_bands(config)
+            csv_text, report = cmd_bands(args)
             report_text = _json_text(report) if json_out else _report_text(report)
-            if config.out is None:
+            if args.out is None:
                 sys.stdout.write(csv_text)
                 sys.stderr.write(report_text)
             else:
-                _emit(csv_text, config.out)
-                _emit(report_text, config.out + (".report.json" if json_out
-                                                 else ".report.txt"))
+                _emit(csv_text, args.out)
+                _emit(report_text, args.out + (".report.json" if json_out
+                                               else ".report.txt"))
             return 0
         if args.command == "flatband":
-            result = cmd_flatband(config)
+            result = cmd_flatband(args)
             _emit(_json_text(result) if json_out else _flatband_text(result),
-                  config.out)
+                  args.out)
             return 0
         if args.command == "asymptotics":
-            _emit(cmd_asymptotics(config), config.out)
+            _emit(cmd_asymptotics(args), args.out)
             return 0
         # verify
         ok, checks = cmd_verify(offdiag_shift=args.selftest_corrupt_offdiag)
@@ -647,14 +609,14 @@ def main(argv=None) -> int:
             _emit(_json_text({
                 "all_pass": ok,
                 "checks": [{"name": n, "pass": p, "detail": d} for n, p, d in checks],
-            }), config.out)
+            }), args.out)
         else:
             lines = [f"{'PASS' if p else 'FAIL'} {n}" + (f" ({d})" if d else "")
                      for n, p, d in checks]
             lines.append("all checks passed" if ok else "verification FAILED")
-            _emit("\n".join(lines) + "\n", config.out)
+            _emit("\n".join(lines) + "\n", args.out)
         return 0 if ok else 1
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CriterionViolation as exc:

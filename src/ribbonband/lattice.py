@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CriterionViolation
+from .errors import ConfigError, CriterionViolation, NumericalError
 
 DENSE_SIZE_CAP = 10_000  # rows; finite sections are oracle-scale only
 
@@ -150,12 +150,16 @@ def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> floa
     small integers plus bitwise-identical potential products); strictly
     positive when some odd entry differs from v_1.  Raises ConfigError when
     psi and params disagree on N or when L < 2 (build_ribbon's open-section
-    check, made before psi is placed), and CriterionViolation when the
-    support of psi leaves the open section 0..L-1.
+    check, made before psi is placed), CriterionViolation when the
+    support of psi leaves the open section 0..L-1, and NumericalError when
+    the residual overflows float64 (a potential near the float64 limit).
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")
     H = build_ribbon(params, L, OPEN)
     state = psi.to_state(L).ravel()
-    resid = H @ state - params.v[0] * state
-    return float(np.max(np.abs(resid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.max(np.abs(H @ state - params.v[0] * state)))
+    if not math.isfinite(resid):
+        raise NumericalError("flat-band residual beyond float64 range")
+    return resid

@@ -55,6 +55,15 @@ def test_fmt15_fifteen_digits_at_carry_and_large_values():
     assert fmt15(999.9999999999994) == "999.999999999999"
 
 
+def test_fmt15_picks_notation_from_the_rounded_magnitude():
+    # just below 1e-4 the value rounds to 1e-4 at 15 digits, so it is fixed
+    # like 1e-4 itself; -0.0 prints as 0
+    assert fmt15(np.nextafter(1e-4, 0.0)) == "0.000100000000000000"
+    assert fmt15(-np.nextafter(1e-4, 0.0)) == "-0.000100000000000000"
+    assert fmt15(-0.0) == "0.00000000000000"
+    assert fmt15(123456789012345.0) == "123456789012345"
+
+
 def test_resolve_potential_named_forms():
     np.testing.assert_array_equal(resolve_potential("zero", 2), np.zeros(5))
     np.testing.assert_array_equal(
@@ -147,6 +156,24 @@ def test_bands_report_does_not_depend_on_grid(points, capsys):
     assert code == 0
     assert len(csv.strip().split("\n")) == int(points) + 1
     assert report == default_report
+
+
+def test_bands_json_reports_flat_band_exactly(tmp_path, capsys):
+    # the flat band is the eigenvalue v_1 itself, not a measured interval
+    out = tmp_path / "flat"
+    code, _, _ = run(["bands", "--N", "1", "--potential", "0.5,0,0.5",
+                      "--format", "json", "--out", str(out)], capsys)
+    assert code == 0
+    band = json.loads((tmp_path / "flat.report.json").read_text())["bands"][1]
+    assert band["k"] == 0 and band["flat"] is True
+    assert band["lo"] == band["hi"] == band["value"] == 0.5
+
+
+def test_bands_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--help"])
+    assert exc.value.code == 0
+    assert "(default 401)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bands_deterministic_bytes(tmp_path, capsys):
@@ -396,6 +423,24 @@ def test_invalid_arguments_exit_2(capsys):
     assert run(["bands", "--N", "1", "--potential", "1,2"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    pytest.param(["bands", "--N", "2.5"], "--N", "2.5", id="N-not-int"),
+    pytest.param(["bands", "--format", "xml"], "--format", "xml", id="format-choice"),
+    pytest.param(["asymptotics", "--N", "1", "--mode", "sideways"], "--mode",
+                 "sideways", id="mode-choice"),
+    pytest.param(["bands", "--config", "{dir}/run.cfg"], "--N", "abc",
+                 id="config-N-not-int"),
+])
+def test_bad_value_exits_2_and_names_flag_and_value(argv, flag, value, tmp_path,
+                                                     capsys):
+    (tmp_path / "run.cfg").write_text("N = abc\n")
+    code, out, err = run([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert flag in err and repr(value) in err
+
+
 def test_numerical_error_exit_3(capsys, monkeypatch):
     import ribbonband.cli as cli_mod
 
@@ -478,6 +523,16 @@ def test_weak_field_overflow_exits_3_without_warning():
     # the first-order central band a^2-weighted sums overflow at 1e308
     _exits_3_without_warning(["asymptotics", "--N", "1", "--mode", "weak",
                               "--potential=1e308,1e308,1e308"])
+
+
+def test_flatband_residual_overflow_exits_3_without_warning():
+    # the criterion holds, but (H - v1) psi overflows: the residual is
+    # checked in verify_flat_eigen, not left to fmt15
+    proc = _run_process(["flatband", "--N", "2", "--potential",
+                         "1e308,0,1e308,5,1e308"])
+    assert proc.returncode == 3
+    assert "Warning" not in proc.stderr
+    assert "flat-band residual beyond float64 range" in proc.stderr
 
 
 def _no_constant(name):
