@@ -7,12 +7,21 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 
   * the t -> a map and the off-diagonal pattern (_offdiagonals),
   * one eigenvalue kernel, eigenvalues(params, off), for single matrices,
-    a grids and the oracle's Bloch rows: LAPACK (numpy.linalg.eigvalsh)
-    on dense stacks for every row, a = 0 included,
-  * eigenvalues with their a-slopes (Hellmann-Feynman, numpy.linalg.eigh),
-    for the refinement of band extrema; both LAPACK routes share one
-    stack loop (_solve_stacks),
+    a grids and the oracle's Bloch rows, every row to LAPACK, a = 0
+    included,
+  * one selected eigenvalue per row with its a-slope (Hellmann-Feynman,
+    from the eigenvector), for the refinement of band extrema,
   * closed-form eigenvalues at zero potential.
+
+Both kernels pick their LAPACK route by the width p = 2N + 1.  Up to
+_STACK_MAX_P, where a dense solve is cheapest, they solve dense p x p
+stacks (numpy.linalg.eigvalsh and eigh; one stack loop, _solve_stacks).
+Wider rows, where the dense O(p^3) work is almost all on zeros, go to the
+O(p^2) tridiagonal routines of scipy.linalg.lapack, one row per call:
+dsterf (the routine eigvalsh reaches after its tridiagonal reduction) for
+all eigenvalues, and for the one selected eigenpair dstebz (bisection by
+index) then dstein (inverse iteration); see Parlett, The Symmetric
+Eigenvalue Problem.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from .errors import ConfigError, NumericalError
 from .lattice import RibbonParams
 
 _STACK_ENTRIES = 1 << 16  # float64 entries per LAPACK stack (512 KiB)
+# Widest J_a solved on dense stacks.  Per row, a dense solve and the
+# tridiagonal routines cost the same between p = 11 and p = 17, for the
+# scan and for the refinement alike (CHANGES.md has the measured tables).
+_STACK_MAX_P = 11
 
 
 def a_of_t(t):
@@ -39,7 +52,7 @@ def _offdiagonals(p: int, a_values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: LAPACK on dense stacks
+# Eigenvalues: LAPACK, on dense stacks or tridiagonal by row
 # ---------------------------------------------------------------------------
 
 def _sturm_counts_batch(diag: np.ndarray, bsq: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -80,9 +93,10 @@ def _tridiagonal_stack(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 def _solve_stacks(solve, diag: np.ndarray, off: np.ndarray):
     """Yield (rows, solve(stack)) over the tridiagonal matrices (diag, off[r])
-    in dense stacks of at most _STACK_ENTRIES entries; solve is
-    numpy.linalg.eigvalsh or numpy.linalg.eigh, which solves each matrix
-    on its own.  Raises NumericalError on a failed solve."""
+    in dense stacks of at most _STACK_ENTRIES entries, for p up to
+    _STACK_MAX_P; solve is numpy.linalg.eigvalsh or numpy.linalg.eigh,
+    which solves each matrix on its own.  Raises NumericalError on a failed
+    solve."""
     step = max(1, _STACK_ENTRIES // diag.shape[0] ** 2)
     for s in range(0, off.shape[0], step):
         rows = slice(s, s + step)
@@ -97,8 +111,8 @@ def eigenvalues(params: RibbonParams, off) -> np.ndarray:
     """All eigenvalues of each tridiagonal matrix (params.v, off[r]),
     ascending: shape (rows, p), position i holds band index i - N.
 
-    Every row goes to LAPACK through _solve_stacks, which solves each matrix
-    on its own, so a row's values do not depend on the rows beside it.
+    Every matrix is solved on its own, on a dense stack (p <= _STACK_MAX_P)
+    or by dsterf, so a row's values do not depend on the rows beside it.
     Raises ConfigError unless off is 2-D with p - 1 columns, and
     NumericalError on a non-finite result or a failed solve.
     """
@@ -107,27 +121,61 @@ def eigenvalues(params: RibbonParams, off) -> np.ndarray:
     if off.ndim != 2 or off.shape[1] != p - 1:
         raise ConfigError(f"off-diagonals need shape (rows, {p - 1}), got {off.shape}")
     out = np.empty((off.shape[0], p))
-    for rows, w in _solve_stacks(np.linalg.eigvalsh, params.v, off):
-        out[rows] = w
+    if p <= _STACK_MAX_P:
+        for rows, w in _solve_stacks(np.linalg.eigvalsh, params.v, off):
+            out[rows] = w
+    else:
+        from scipy.linalg.lapack import dsterf
+
+        for r in range(off.shape[0]):
+            out[r], info = dsterf(params.v, off[r])
+            if info != 0:  # NaN entries
+                raise NumericalError(f"LAPACK dsterf failed (info {info})")
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
     return out
 
 
+def _slope(psi: np.ndarray) -> np.ndarray:
+    """psi^T (dJ/da) psi = 2 * sum over the a-bonds (j even) of psi_j psi_{j+1}
+    (Hellmann-Feynman), over the last axis of psi."""
+    return 2.0 * np.sum(psi[..., :-1:2] * psi[..., 1::2], axis=-1)
+
+
 def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
     """(lambda, dlambda/da) of eigenvalue indices[r] of J_a, a = a_values[r] > 0.
 
-    The slope is psi^T (dJ/da) psi = 2 * sum over the a-bonds (j even) of
-    psi_j psi_{j+1} (Hellmann-Feynman), psi from the same numpy.linalg.eigh
-    call.  Raises NumericalError on a non-finite result or a failed solve.
+    The slope comes from the eigenvector of the same solve: all eigenpairs
+    of a dense stack (numpy.linalg.eigh, p <= _STACK_MAX_P), else the one
+    selected pair by dstebz and dstein.  Those two do not scale their input,
+    so the wide matrices are first scaled by one power of two (exact) to
+    entries below 1 in magnitude; a potential near the float64 limit then
+    gives the same finite edges as the dense route.  Raises NumericalError
+    on a non-finite result or a failed solve.
     """
     off = _offdiagonals(params.p, a_values)
     lam, slope = np.empty(off.shape[0]), np.empty(off.shape[0])
-    for r, (w, V) in _solve_stacks(np.linalg.eigh, params.v, off):
-        rows, k = np.arange(w.shape[0]), indices[r]
-        psi = V[rows, :, k]
-        lam[r] = w[rows, k]
-        slope[r] = 2.0 * np.sum(psi[:, :-1:2] * psi[:, 1::2], axis=1)
+    if params.p <= _STACK_MAX_P:
+        for r, (w, V) in _solve_stacks(np.linalg.eigh, params.v, off):
+            rows = np.arange(w.shape[0])
+            lam[r] = w[rows, indices[r]]
+            slope[r] = _slope(V[rows, :, indices[r]])
+    else:
+        from scipy.linalg.lapack import dstebz, dstein
+
+        exp = np.frexp(max(np.max(np.abs(params.v)), np.max(off, initial=0.0)))[1]
+        v, off = np.ldexp(params.v, -exp), np.ldexp(off, -exp)
+        for r, k in enumerate(indices):
+            m, w, iblock, isplit, info = dstebz(v, off[r], 2, 0.0, 1.0, k + 1, k + 1,
+                                                0.0, "B")
+            if info != 0 or m != 1:
+                raise NumericalError(f"LAPACK dstebz failed (info {info}, {m} found)")
+            z, info = dstein(v, off[r], w[:1], iblock, isplit)
+            if info != 0:
+                raise NumericalError(f"LAPACK dstein failed (info {info})")
+            lam[r], slope[r] = w[0], _slope(z[:, 0])
+        with np.errstate(over="ignore"):
+            lam = np.ldexp(lam, exp)
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(slope))):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
     return lam, slope

@@ -237,19 +237,28 @@ def test_criterion_08_strong_field_regime():
 
 
 def test_criterion_09_gap_asymptote_wide_ribbon():
-    N = 50
-    params = RibbonParams(N=N)
-    lo, _ = band_interval(1, params)
-    gap_len = 2.0 * lo
-    target = 2.0 * math.pi / N
-    ratio = gap_len / target
-    closed_err = abs(lo - math.sin(math.pi / (N + 1)))
-    ok = abs(ratio - 1.0) <= 0.05 and closed_err <= 1e-9
+    # the central gap 2 sin(pi/(N+1)) against 2*pi/N: the ratio is within 5%
+    # at each N, and |ratio - 1| halves as N doubles (order log2 of the
+    # step's quotient within 0.1 of 1)
+    lines, ok, prev = [], True, None
+    for N in (50, 100, 200):
+        lo, _ = band_interval(1, RibbonParams(N=N))
+        ratio = 2.0 * lo / (2.0 * math.pi / N)
+        closed_err = abs(lo - math.sin(math.pi / (N + 1)))
+        dev = abs(ratio - 1.0)
+        ok = ok and dev <= 0.05 and closed_err <= 1e-9
+        line = f"N={N} ratio {ratio:.4f}, closed-form check {closed_err:.1e}"
+        if prev is not None:
+            order = math.log2(prev / dev)
+            ok = ok and abs(order - 1.0) <= 0.1
+            line += f", order {order:.3f}"
+        lines.append(line)
+        prev = dev
     _line(
         9,
         ok,
-        f"N=50 central gap length {gap_len:.6f} vs 2*pi/N {target:.6f}: "
-        f"ratio {ratio:.4f} (within 5%), closed-form check {closed_err:.1e}",
+        "central gap length vs 2*pi/N (within 5%, |ratio - 1| halving as N "
+        "doubles): " + "; ".join(lines),
     )
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ribbonband.jacobi as jacobi_mod
 from ribbonband import (
     ConfigError,
+    NumericalError,
     RibbonParams,
     band_function,
     band_interval,
@@ -383,3 +385,91 @@ def test_report_edges_at_least_as_extreme_as_dense_scan(seed, N, scale, shape):
     tol = 1e-9 * max(1.0, scale)
     for (_, lo, hi, _), m, M in zip(spectrum_report(params).bands, lo_scan, hi_scan):
         assert lo <= m + tol and hi >= M - tol
+
+
+def _dense_route_report(monkeypatch, params):
+    """spectrum_report with every row of both kernels on dense stacks."""
+    with monkeypatch.context() as m:
+        m.setattr(jacobi_mod, "_STACK_MAX_P", params.p)
+        return spectrum_report(params)
+
+
+def _wide_seeded_potentials():
+    """(params, scale) at N = 6..24, past the widest dense stack, in six
+    shapes: random, equal pairs and equal blocks (repeated a = 0
+    eigenvalues), rounded, zero, and flat (the criterion holds), at scales
+    from 1e-4 to 30.  Each width takes three shapes, each shape three
+    widths."""
+    shapes = ("random", "equal-pairs", "equal-blocks", "rounded", "zero", "flat")
+    rng = np.random.default_rng(20261019)
+    for i, N in enumerate((6, 9, 12, 16, 20, 24)):
+        for shape in shapes[i % 2::2]:
+            v = rng.uniform(-1.0, 1.0, 2 * N + 1)
+            if shape == "equal-pairs":
+                v[2::2] = v[1::2]
+            elif shape == "equal-blocks":
+                v[1:] = np.tile(v[1:3], N)
+            elif shape == "rounded":
+                v = np.round(v, 1)
+            elif shape == "zero":
+                v[:] = 0.0
+            elif shape == "flat":
+                v[0::2] = v[0]
+            scale = 10.0 ** rng.uniform(-4.0, math.log10(30.0))
+            yield RibbonParams(N=N, v=scale * v), scale
+
+
+def test_wide_report_edges_match_dense_scan_and_dense_route(monkeypatch):
+    # the tridiagonal route (dsterf scan, dstebz + dstein refinement):
+    # each edge is at least as extreme as a dense scan at the default grid's
+    # 401 points, and no more extreme than |d lambda / da| <= 1 allows over
+    # half a step of a dense 2001-point scan; and it agrees with the
+    # dense-stack route.  An extremum in a narrow avoided crossing that the
+    # default grid does not bracket can sit below the 2001-point scan on
+    # both routes (here band -11 of N = 20, by 1.1e-5).
+    points = 2001
+    half_step = 1.0 / (points - 1)
+    for params, scale in _wide_seeded_potentials():
+        assert params.p > jacobi_mod._STACK_MAX_P
+        bands = spectrum_report(params).bands
+        dense = _dense_route_report(monkeypatch, params).bands
+        lo_scan, hi_scan = _dense_scan_extrema(params, points)
+        lo_seed, hi_seed = _dense_scan_extrema(params, len(default_grid()))
+        tol = 1e-13 * max(1.0, scale)
+        for (k, lo, hi, flat), (_, dlo, dhi, dflat), m, M, ms, Ms in zip(
+                bands, dense, lo_scan, hi_scan, lo_seed, hi_seed):
+            assert m - half_step - tol <= lo <= ms + tol, (params.N, k)
+            assert Ms - tol <= hi <= M + half_step + tol, (params.N, k)
+            assert flat == dflat
+            assert abs(lo - dlo) <= tol and abs(hi - dhi) <= tol, (params.N, k)
+
+
+@pytest.mark.parametrize("v", [
+    np.full(33, 1e308),
+    1.7e308 * (-1.0) ** np.arange(33),
+    1e300 * np.arange(1.0, 34.0),
+], ids=["1e308-ones", "1.7e308-alternating", "1e300-ramp"])
+def test_wide_report_near_float_limit_matches_dense_route(monkeypatch, v):
+    # N = 16: the same finite edges, or NumericalError on both routes
+    params = RibbonParams(N=16, v=v)
+    outcomes = []
+    for report in (spectrum_report, lambda p: _dense_route_report(monkeypatch, p)):
+        try:
+            outcomes.append(report(params).bands)
+        except NumericalError:
+            outcomes.append(None)
+    wide, dense = outcomes
+    assert (wide is None) == (dense is None)
+    if wide is not None:
+        np.testing.assert_allclose([b[1:3] for b in wide], [b[1:3] for b in dense],
+                                   rtol=1e-13)
+        assert [b[3] for b in wide] == [b[3] for b in dense]
+
+
+def test_zero_potential_report_at_n256_matches_closed_form():
+    # a 513 x 513 family: a wide ribbon on the tridiagonal route in seconds
+    closed = unperturbed_spectrum(256)
+    measured = spectrum_report(RibbonParams(N=256))
+    for (k1, lo1, hi1, f1), (k2, lo2, hi2, f2) in zip(closed.bands, measured.bands):
+        assert k1 == k2 and f1 == f2
+        assert abs(lo1 - lo2) <= 1e-10 and abs(hi1 - hi2) <= 1e-10

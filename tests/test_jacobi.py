@@ -161,8 +161,9 @@ def test_eigenvalues_batch_matches_rotation_oracle(N, a, scale, seed):
 
 
 def test_eigenvalues_batch_rows_equal_across_stacks(monkeypatch):
-    # at N = 64 a 401-point scan spans many LAPACK stacks, each at most
-    # 2^16 entries; a row's values do not depend on its stack
+    # at N = 5 (p = 11, the widest dense-stack route) a 2001-point scan
+    # spans four LAPACK stacks, each at most 2^16 entries; a row's values do
+    # not depend on its stack
     stacks = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -171,11 +172,28 @@ def test_eigenvalues_batch_rows_equal_across_stacks(monkeypatch):
         return eigvalsh(M)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    params = RibbonParams(N=64, v=np.random.default_rng(3).uniform(-1, 1, 129))
-    grid = np.linspace(0.0, 2.0, 401)
+    params = RibbonParams(N=5, v=np.random.default_rng(3).uniform(-1, 1, 11))
+    grid = np.linspace(0.0, 2.0, 2001)
     full = eigenvalues_batch(params, grid)
     assert len(stacks) > 2
     assert all(rows * p * q <= 2**16 for rows, p, q in stacks)
+    first = stacks[0][0]  # rows first - 1 and first sit in different stacks
+    shifted = eigenvalues_batch(params, grid[first - 5:first + 6])
+    np.testing.assert_array_equal(shifted, full[first - 5:first + 6])
+    for r in (2, first - 1, first, 2000):
+        np.testing.assert_array_equal(eigenvalues_batch(params, grid[r])[0], full[r])
+
+
+def test_eigenvalues_batch_rows_independent_on_tridiagonal_route(monkeypatch):
+    # at N = 64 every row is its own dsterf call, with no dense stack; a
+    # row's values do not depend on the rows beside it
+    def no_stacks(M):
+        raise AssertionError("dense stack at p = 129")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_stacks)
+    params = RibbonParams(N=64, v=np.random.default_rng(3).uniform(-1, 1, 129))
+    grid = np.linspace(0.0, 2.0, 401)
+    full = eigenvalues_batch(params, grid)
     shifted = eigenvalues_batch(params, grid[1:12])
     np.testing.assert_array_equal(shifted, full[1:12])
     for r in (2, 3, 4, 400):
@@ -197,9 +215,15 @@ def test_eigenvalues_batch_near_float_limit_finite_or_typed(v):
 
 
 def test_eigenvalues_non_finite_offdiagonal_raises_typed():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(NumericalError):
-            eigenvalues(RibbonParams(N=1), [[bad, 1.0]])
+    # on a dense stack (N = 1) and on the dsterf route (N = 16), no warning
+    for N in (1, 16):
+        for bad in (np.nan, np.inf):
+            off = _offdiagonals(2 * N + 1, [1.0])
+            off[0, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError):
+                    eigenvalues(RibbonParams(N=N), off)
 
 
 def test_decoupled_limit_matches_general_path():
