@@ -8,11 +8,9 @@ independent dense oracle.
 """
 
 from .asymptotics import (
-    StrongFieldEstimate,
     constant_field,
     constant_field_potential,
-    first_order_lower_edge,
-    first_order_upper_edge,
+    first_order_edges,
     order_check,
     strong_field,
     weak_field_center,
@@ -68,7 +66,6 @@ __all__ = [
     "PERIODIC",
     "RibbonParams",
     "SpectrumReport",
-    "StrongFieldEstimate",
     "a_of_t",
     "band_function",
     "band_interval",
@@ -82,8 +79,7 @@ __all__ = [
     "dense_symmetric_eig",
     "eigenvalues",
     "eigenvalues_batch",
-    "first_order_lower_edge",
-    "first_order_upper_edge",
+    "first_order_edges",
     "flat_band_criterion",
     "order_check",
     "periodic_ribbon_spectrum",

@@ -3,27 +3,28 @@
 Four regimes are covered:
 
   * weak field, central band: lambda_0(a, v) equals a weighted average of
-    the odd-site potentials (weights a^{2k}) to first order in ||v||,
+    the odd-site potentials (weights a^{2k}) to first order in ||v||; the
+    measured error falls at third order,
   * weak field, outer bands: explicit first-order corrections to both
     extrema of each band,
   * the constant transverse field v_{2k+1} = eps*k (even sites 0), whose
     first-order central-band width has a rational closed form,
   * strong field t*v with strictly increasing v: bands localize near
     t*v_k with O(1/t) second-order corrections from the two neighboring
-    sites.
+    sites; the measured edge errors fall as 1/t^3.
 
+Every band prediction answers in the shape spectrum_report measures in,
+one (lo, hi) per band: weak_field_edges for the central band,
+first_order_edges for all p bands at position k + N (None where the
+first-order theory gives no edge), strong_field for all p sites.
 order_check fits the empirical convergence order of an error under
 halvings of a scale, so each asymptotic claim can be validated against
-measured band data.  Band edges come back as (lo, hi) tuples, as from
-bands.band_interval, and a fitted order as a float (None when an error is
-exactly 0); the one result type, StrongFieldEstimate, carries the per-site
-corrections, bands and widths.
+measured band data; it returns a float, or None when an error is exactly 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,63 +78,56 @@ def weak_field_edges(params: RibbonParams) -> tuple[float, float]:
     return float(fx[0, 0]), float(fx[1, 0])
 
 
-def first_order_lower_edge(k: int, params: RibbonParams) -> float:
-    """First-order value of the interior extremum of band k (the one at
-    a ~ c_k; for k > 0 it is the band minimum, for k < 0 the maximum).
+def first_order_edges(params: RibbonParams) -> tuple:
+    """First-order (lo, hi) of every band, at position k + N as in
+    spectrum_report(params).bands; an edge this theory does not give here
+    is None.
 
-    Valid for 0 < |k| < (N+1)/2, where the zero-potential minimum s_k is
-    attained in the open interval (0, 2).  The potential correction is an
-    average of squared eigenvector weights; the out-of-range even index
-    2(N+1) carries weight sin^2(k*pi) = 0 and is therefore absent.
+    Band k != 0 has two extrema.  Its a = 2 extremum (the maximum for
+    k > 0, the minimum for k < 0) is sign(k) sqrt(5 - 4 c_k) plus the
+    potential averaged with weights: even site 2n gets s_{kn}^2, odd site
+    2n+1 gets (s_{nk} - 2 s_{(n+1)k})^2 / (5 - 4 c_k), n = 0..N.  The
+    weights sum to N+1, which is re-verified on every call (uniform shifts
+    must be exact).  Its interior extremum at a ~ c_k (the minimum for
+    k > 0, the maximum for k < 0) is sign(k) s_k plus the average with
+    weights c_{nk}^2 on odd site 2n-1 and s_{nk}^2 on even site 2n; it
+    exists for |k| < (N+1)/2, where the zero-potential extremum lies in
+    the open interval (0, 2) (the out-of-range even index 2(N+1) carries
+    weight sin^2(k*pi) = 0 and is absent), and is None otherwise.  Both
+    edges of band 0 are None: weak_field_edges gives them.
+
+    Raises NumericalError when an edge is not finite.
     """
-    N = params.N
-    ak = abs(k)
-    if not 0 < ak < (N + 1) / 2:
-        raise CriterionViolation(
-            f"first-order interior edge needs 0 < |k| < (N+1)/2, got k={k}, N={N}"
-        )
-    v = params.v
-    total = 0.0
-    for n in range(1, N + 2):
-        c2 = cos_node(n * ak, N) ** 2
-        total += c2 * v[2 * n - 2]
-        if n <= N:
-            s2 = sin_node(n * ak, N) ** 2
-            total += s2 * v[2 * n - 1]
-    lead = sin_node(ak, N) * math.copysign(1.0, k)
-    return lead + total / (N + 1)
-
-
-def first_order_upper_edge(k: int, params: RibbonParams) -> float:
-    """First-order value of the a = 2 extremum of band k (the band maximum
-    for k > 0, minimum for k < 0); valid for all k != 0.
-
-    Correction weights: even site 2n gets s_{kn}^2; odd site 2n+1 gets
-    (s_{nk} - 2 s_{(n+1)k})^2 / (5 - 4 c_k), n = 0..N.  The weights sum to
-    N+1, which is re-verified on every call (uniform shifts must be exact).
-    """
-    N = params.N
-    ak = abs(k)
-    if ak == 0 or ak > N:
-        raise CriterionViolation(f"band index k={k} outside 1..{N} in modulus")
-    v = params.v
-    denom = 5.0 - 4.0 * cos_node(ak, N)
-    chi = np.zeros(params.p)
-    for n in range(0, N + 1):
-        chi[2 * n] = (sin_node(n * ak, N) - 2.0 * sin_node((n + 1) * ak, N)) ** 2 / denom
-    for n in range(1, N + 1):
-        chi[2 * n - 1] = sin_node(n * ak, N) ** 2
+    N, v = params.N, params.v
+    edges = [(None, None)] * params.p
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> raised below
-        total = float(chi @ v)
-    if abs(float(np.sum(chi)) - (N + 1)) > 1e-9 * (N + 1):
-        raise NumericalError(
-            "edge-weight normalization drifted; first-order formula unusable"
-        )
-    lead = math.sqrt(denom) * math.copysign(1.0, k)
-    edge = lead + total / (N + 1)
-    if not math.isfinite(edge):
-        raise NumericalError(f"first-order edge of band k={k} is not finite")
-    return edge
+        for ak in range(1, N + 1):
+            denom = 5.0 - 4.0 * cos_node(ak, N)
+            chi = np.zeros(params.p)
+            for n in range(0, N + 1):
+                chi[2 * n] = (sin_node(n * ak, N) - 2.0 * sin_node((n + 1) * ak, N)) ** 2 / denom
+            for n in range(1, N + 1):
+                chi[2 * n - 1] = sin_node(n * ak, N) ** 2
+            if abs(float(np.sum(chi)) - (N + 1)) > 1e-9 * (N + 1):
+                raise NumericalError(
+                    "edge-weight normalization drifted; first-order formula unusable"
+                )
+            root, shift = math.sqrt(denom), float(chi @ v) / (N + 1)
+            inner = (None, None)  # bands +ak, -ak
+            if ak < (N + 1) / 2:
+                total = 0.0
+                for n in range(1, N + 2):
+                    total += cos_node(n * ak, N) ** 2 * v[2 * n - 2]
+                    if n <= N:
+                        total += sin_node(n * ak, N) ** 2 * v[2 * n - 1]
+                s = sin_node(ak, N)
+                inner = (float(s + total / (N + 1)), float(-s + total / (N + 1)))
+            edges[N + ak] = (inner[0], root + shift)
+            edges[N - ak] = (-root + shift, inner[1])
+    for k, edge in enumerate(edges, -N):
+        if not all(x is None or math.isfinite(x) for x in edge):
+            raise NumericalError(f"first-order edge of band k={k} is not finite")
+    return tuple(edges)
 
 
 def constant_field(N: int, eps: float) -> tuple[float, float, float]:
@@ -160,26 +154,16 @@ def constant_field_potential(N: int, eps: float) -> RibbonParams:
     return RibbonParams(N=N, v=v)
 
 
-@dataclass(frozen=True)
-class StrongFieldEstimate:
-    """Per-site band predictions for the Hamiltonian with potential t*v.
+def strong_field(params: RibbonParams, t: float) -> tuple:
+    """Predicted (lo, hi) per site for potential t*v, v strictly
+    increasing, t large.
 
-    Site k (1-based) hosts the band centered at t*v_k with second-order
-    corrections xi_minus (a = 0) and xi_plus (a = 2, where the a-bond
-    carries the coupling-squared value 4) from its two neighbors; the band
-    estimate is [t*v_k - max(xi)/t, t*v_k - min(xi)/t].  The top site p has
-    equal corrections, so its predicted width vanishes at this order and
-    the true width is O(1/t^2).
-    """
-
-    xi_minus: np.ndarray
-    xi_plus: np.ndarray
-    bands: tuple
-    widths: np.ndarray
-
-
-def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
-    """Predicted bands for potential t*v, v strictly increasing, t large.
+    Site k (1-based) hosts the band centered at t*v_k.  Its two neighbors
+    shift that center by second-order corrections xi_minus (a = 0) and
+    xi_plus (a = 2, where the a-bond carries the coupling-squared value
+    4), and the band is [t*v_k - max(xi)/t, t*v_k - min(xi)/t].  The top
+    site p has equal corrections, so its predicted width vanishes at this
+    order; its true width is O(1/t^3).
 
     Requires v_1 < ... < v_p and t >= 10 / min spacing; raises ConfigError
     when v_p - v_1 or t*v leaves float64 range.
@@ -208,12 +192,10 @@ def strong_field(params: RibbonParams, t: float) -> StrongFieldEstimate:
     centers = t * v
     hi_corr = np.minimum(xi_minus, xi_plus) / t
     lo_corr = np.maximum(xi_minus, xi_plus) / t
-    bands = tuple(
+    return tuple(
         (float(centers[k] - lo_corr[k]), float(centers[k] - hi_corr[k]))
         for k in range(p)
     )
-    return StrongFieldEstimate(xi_minus=xi_minus, xi_plus=xi_plus, bands=bands,
-                               widths=lo_corr - hi_corr)
 
 
 def order_check(observable, eps0: float) -> float | None:

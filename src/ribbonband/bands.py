@@ -108,8 +108,6 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
     if not solid:
         return SpectrumReport(bands=tuple(bands), gaps=(),
                               multiplicity_windows=())
-    hull_lo = min(lo for lo, _ in solid)
-    hull_hi = max(hi for _, hi in solid)
     edges = []
     for x in sorted({x for iv in solid for x in iv}):
         if not edges or x - edges[-1] > edge_tol:
@@ -119,12 +117,11 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
     for x1, x2 in zip(edges[:-1], edges[1:]):
         mid = 0.5 * x1 + 0.5 * x2
         count = sum(1 for lo, hi in solid if lo <= mid <= hi)
-        if count == 0:
-            if hull_lo < mid < hull_hi:
-                if gaps and gaps[-1][1] == x1:
-                    gaps[-1] = (gaps[-1][0], x2)
-                else:
-                    gaps.append((x1, x2))
+        if count == 0:  # mid, in [x1, x2] and in no band, is inside the hull
+            if gaps and gaps[-1][1] == x1:
+                gaps[-1] = (gaps[-1][0], x2)
+            else:
+                gaps.append((x1, x2))
         else:
             if windows and windows[-1][0][1] == x1 and windows[-1][1] == count:
                 windows[-1] = ((windows[-1][0][0], x2), count)

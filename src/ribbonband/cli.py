@@ -14,9 +14,9 @@ file is flat ``key = value`` text whose keys are the same flag names; its
 lines are read as ``--key=value`` flags ahead of the command line's, so
 command-line flags override file values, and a flag or key the
 subcommand does not read is a config error.  Exit codes: 0 ok,
-1 verification failure, 2 config error (a bad value or choice, an
-unreadable input file or an unwritable --out included), 3 numerical
-error, 4 criterion violation.
+1 verification failure, 2 config error (a bad value or choice, a size
+beyond MAX_N or CSV_CELL_CAP, an unreadable input file or an unwritable
+--out included), 3 numerical error, 4 criterion violation.
 
 Numbers are serialized with 15 significant digits (``#.15g``):
 fixed-point when the magnitude rounded to 15 digits lies in [1e-4, 1e15),
@@ -35,8 +35,7 @@ import numpy as np
 from .asymptotics import (
     constant_field,
     constant_field_potential,
-    first_order_lower_edge,
-    first_order_upper_edge,
+    first_order_edges,
     order_check,
     strong_field,
     weak_field_center,
@@ -225,10 +224,20 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --grid x p: the default 401-row table fits at N = MAX_N (3 285 393 cells)
+CSV_CELL_CAP = 4_000_000
+
+
 def cmd_bands(config: argparse.Namespace) -> tuple[str, dict]:
     """Band CSV (one row per --grid point) plus the spectrum report, whose
-    edges are seeded from default_grid() whatever --grid says."""
-    params, grid = _params(config), default_grid(config.grid)
+    edges are seeded from default_grid() whatever --grid says.  A table of
+    more than CSV_CELL_CAP eigenvalue cells is a ConfigError, raised before
+    the grid is allocated."""
+    params = _params(config)
+    if config.grid * params.p > CSV_CELL_CAP:
+        raise ConfigError(f"--grid {config.grid} x p = {params.p} is "
+                          f"{config.grid * params.p} CSV cells, beyond {CSV_CELL_CAP}")
+    grid = default_grid(config.grid)
     values = eigenvalues_batch(params, grid)
     N = params.N
     header = "a," + ",".join(f"lambda_{k}" for k in range(-N, N + 1))
@@ -340,23 +349,12 @@ def _asy_weak(config: argparse.Namespace) -> str:
 
 def _asy_edges(config: argparse.Namespace) -> str:
     params = _params(config)
-    N = params.N
-    predicted = {}
-    for k in [k for k in range(-N, N + 1) if k != 0]:
-        inner = (
-            first_order_lower_edge(k, params)
-            if 0 < abs(k) < (N + 1) / 2
-            else None
-        )
-        outer = first_order_upper_edge(k, params)
-        # the a~c_k extremum is the lower endpoint for k > 0, upper for k < 0
-        predicted[k] = (inner, outer) if k > 0 else (outer, inner)
-    # measured after the predictions, which reject overflowing potentials
-    measured = spectrum_report(params).bands
+    # predicted before the eigensolve: overflowing potentials fail first
+    predicted = first_order_edges(params)
     rows = [_ASY_HEADER]
-    for k, (plo, phi) in predicted.items():
-        _, mlo, mhi, _ = measured[k + N]
-        rows.append(_asy_row(k, plo, phi, mlo, mhi))
+    for (plo, phi), (k, mlo, mhi, _) in zip(predicted, spectrum_report(params).bands):
+        if k != 0:
+            rows.append(_asy_row(k, plo, phi, mlo, mhi))
     return "\n".join(rows) + "\n"
 
 
@@ -366,8 +364,9 @@ def _asy_constant_field(config: argparse.Namespace) -> str:
         raise ConfigError(
             "constant-field mode needs --potential 'constant-field EPS'"
         )
+    params = _params(config)  # rejects a bad N before constant_field forms 4^N
     plo, phi, cp = constant_field(config.N, named[1])
-    mlo, mhi = band_interval(0, _params(config))
+    mlo, mhi = band_interval(0, params)
     rows = [
         _ASY_HEADER,
         _asy_row(0, plo, phi, mlo, mhi),
@@ -397,7 +396,7 @@ def _asy_strong(config: argparse.Namespace) -> str:
 # verify: one function per claim, shared with the acceptance tests
 # ---------------------------------------------------------------------------
 
-ORDER_MIN = 1.9  # the least fitted order that counts as "quadratic"
+ORDER_MIN = 2.9  # the least fitted order that counts as "third order"
 
 
 def weak_edge_error(params: RibbonParams) -> float:
@@ -410,7 +409,7 @@ def weak_edge_error(params: RibbonParams) -> float:
 def strong_field_edges(params: RibbonParams, t: float) -> tuple[list, float]:
     """(predicted lo, predicted hi, measured lo, measured hi) per site for
     the potential t*v, and the worst |predicted - measured| edge error."""
-    predicted = strong_field(params, t).bands
+    predicted = strong_field(params, t)
     measured = spectrum_report(RibbonParams(params.N, t * params.v)).bands
     edges = [(plo, phi, lo, hi)
              for (plo, phi), (_, lo, hi, _) in zip(predicted, measured)]
@@ -496,7 +495,7 @@ def check_weak_center_order(w, grid) -> tuple:
         return float(np.max(np.abs(lam0 - weak_field_center(grid, params))))
 
     slope = order_check(center_err, 1e-2)
-    return ("weak-field central band first-order error is quadratic",
+    return ("weak-field central band first-order error is third order",
             slope is not None and slope >= ORDER_MIN, f"slope={slope}")
 
 
@@ -510,7 +509,7 @@ def check_strong_top_width_order(v) -> tuple:
         return hi - lo
 
     slope = order_check(top_width, 1.0)
-    return ("strong-field top band width decays at second order",
+    return ("strong-field top band width decays at third order",
             slope is not None and slope >= ORDER_MIN,
             f"slope={slope} (width ~ t^-slope)")
 

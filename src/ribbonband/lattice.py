@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, CriterionViolation, NumericalError
 
 DENSE_SIZE_CAP = 10_000  # rows; finite sections are oracle-scale only
+MAX_N = 4096  # widest ribbon, p = 8193; a wider one is refused before allocation
 
 PERIODIC = "periodic"
 OPEN = "open"
@@ -37,15 +38,16 @@ class RibbonParams:
     """Ribbon half-width N and transverse on-site potential v (length p = 2N+1).
 
     v is stored as a float array; v[j] is the potential on site j+1 in the
-    1-based transverse indexing used throughout.
+    1-based transverse indexing used throughout.  N is an integer in
+    1..MAX_N, checked before anything of size p is allocated.
     """
 
     N: int
     v: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ConfigError(f"N must be a positive integer, got {self.N!r}")
+        if not isinstance(self.N, (int, np.integer)) or not 1 <= self.N <= MAX_N:
+            raise ConfigError(f"N must be an integer in 1..{MAX_N}, got {self.N!r}")
         v = self.v
         if v is None:
             v = np.zeros(self.p)

@@ -23,8 +23,7 @@ from ribbonband import (
     constant_field,
     constant_field_potential,
     eigenvalues_batch,
-    first_order_lower_edge,
-    first_order_upper_edge,
+    first_order_edges,
     order_check,
     spectrum_report,
     verify_flat_eigen,
@@ -142,18 +141,15 @@ def test_criterion_06_first_order_edges():
     eps = 1e-4
     params = RibbonParams(N=2, v=eps * rng.uniform(-1.0, 1.0, 5))
     mlo, mhi = band_interval(1, params)
-    err_lo = abs(first_order_lower_edge(1, params) - mlo)
-    err_hi = abs(first_order_upper_edge(1, params) - mhi)
+    plo, phi = first_order_edges(params)[1 + 2]  # band k = 1 at k + N
+    err_lo = abs(plo - mlo)
+    err_hi = abs(phi - mhi)
 
     shift = 0.37
     uni = RibbonParams(N=2, v=np.full(5, shift))
-    exact_lo = abs(
-        first_order_lower_edge(1, uni) - (math.sin(math.pi / 3) + shift)
-    )
-    exact_hi = abs(
-        first_order_upper_edge(1, uni)
-        - (math.sqrt(5 - 4 * math.cos(math.pi / 3)) + shift)
-    )
+    ulo, uhi = first_order_edges(uni)[1 + 2]
+    exact_lo = abs(ulo - (math.sin(math.pi / 3) + shift))
+    exact_hi = abs(uhi - (math.sqrt(5 - 4 * math.cos(math.pi / 3)) + shift))
     ok = (
         err_lo <= 10 * eps**2
         and err_hi <= 10 * eps**2

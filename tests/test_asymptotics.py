@@ -7,6 +7,7 @@ paths they check.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +23,11 @@ from ribbonband import (
     band_interval,
     constant_field,
     constant_field_potential,
-    first_order_lower_edge,
-    first_order_upper_edge,
+    cos_node,
+    first_order_edges,
     order_check,
+    sin_node,
+    spectrum_report,
     strong_field,
     weak_field_center,
     weak_field_edges,
@@ -133,26 +136,79 @@ def test_weak_field_edges_prediction_object():
 # first-order band edges
 # ---------------------------------------------------------------------------
 
+def _first_order_lower_edge(k: int, params: RibbonParams) -> float:
+    """Reference: the interior (a ~ c_k) extremum of band k, 0 < |k| <
+    (N+1)/2, as one scalar function per edge; first_order_edges must
+    reproduce it bit for bit."""
+    N = params.N
+    ak = abs(k)
+    v = params.v
+    total = 0.0
+    for n in range(1, N + 2):
+        c2 = cos_node(n * ak, N) ** 2
+        total += c2 * v[2 * n - 2]
+        if n <= N:
+            s2 = sin_node(n * ak, N) ** 2
+            total += s2 * v[2 * n - 1]
+    lead = sin_node(ak, N) * math.copysign(1.0, k)
+    return lead + total / (N + 1)
+
+
+def _first_order_upper_edge(k: int, params: RibbonParams) -> float:
+    """Reference: the a = 2 extremum of band k != 0, one scalar function
+    per edge."""
+    N = params.N
+    ak = abs(k)
+    v = params.v
+    denom = 5.0 - 4.0 * cos_node(ak, N)
+    chi = np.zeros(params.p)
+    for n in range(0, N + 1):
+        chi[2 * n] = (sin_node(n * ak, N) - 2.0 * sin_node((n + 1) * ak, N)) ** 2 / denom
+    for n in range(1, N + 1):
+        chi[2 * n - 1] = sin_node(n * ak, N) ** 2
+    total = float(chi @ v)
+    lead = math.sqrt(denom) * math.copysign(1.0, k)
+    return lead + total / (N + 1)
+
+
+def _edges(k: int, params: RibbonParams) -> tuple:
+    """first_order_edges' (lo, hi) of band k, as (interior, a = 2) edge."""
+    lo, hi = first_order_edges(params)[k + params.N]
+    return (lo, hi) if k > 0 else (hi, lo)
+
+
+def test_first_order_edges_equal_scalar_references_bitwise():
+    rng = np.random.default_rng(17)
+    for N in range(1, 9):
+        for scale in (1e-6, 1e-2, 1.0, 1e2):
+            params = RibbonParams(N=N, v=scale * rng.uniform(-1, 1, 2 * N + 1))
+            edges = first_order_edges(params)
+            assert len(edges) == params.p
+            assert edges[N] == (None, None)  # band 0: weak_field_edges
+            for k in [k for k in range(-N, N + 1) if k != 0]:
+                inner, outer = _edges(k, params)
+                assert outer == _first_order_upper_edge(k, params)
+                if abs(k) < (N + 1) / 2:
+                    assert inner == _first_order_lower_edge(k, params)
+                else:
+                    assert inner is None
+
+
 def test_lower_edge_frozen_coefficients_N2():
     # k=1, N=2: sqrt(3)/2 + (v1/4 + 3 v2/4 + v3/4 + 3 v4/4 + v5) / 3
     v = np.array([0.001, 0.002, 0.003, 0.004, 0.005])
     params = RibbonParams(N=2, v=v)
     shift = (v[0] / 4 + 3 * v[1] / 4 + v[2] / 4 + 3 * v[3] / 4 + v[4]) / 3
-    assert first_order_lower_edge(1, params) == pytest.approx(
-        math.sqrt(3) / 2 + shift, abs=1e-15
-    )
-    assert first_order_lower_edge(-1, params) == pytest.approx(
-        -math.sqrt(3) / 2 + shift, abs=1e-15
-    )
+    assert _edges(1, params)[0] == pytest.approx(math.sqrt(3) / 2 + shift, abs=1e-15)
+    assert _edges(-1, params)[0] == pytest.approx(-math.sqrt(3) / 2 + shift, abs=1e-15)
 
 
 def test_lower_edge_only_defined_for_inner_bands():
     params = RibbonParams(N=2)
-    for k in (0, 2, -2, 3):
-        with pytest.raises((CriterionViolation, ConfigError)):
-            first_order_lower_edge(k, params)
-    with pytest.raises((CriterionViolation, ConfigError)):
-        first_order_lower_edge(1, RibbonParams(N=1))  # (N+1)/2 = 1 excludes k=1
+    for k in (0, 2, -2):
+        assert _edges(k, params)[0] is None
+    assert _edges(1, RibbonParams(N=1))[0] is None  # (N+1)/2 = 1 excludes k=1
+    assert first_order_edges(RibbonParams(N=1))[0][1] is None  # k = -1's max
 
 
 def test_upper_edge_frozen_coefficients_N1():
@@ -160,12 +216,8 @@ def test_upper_edge_frozen_coefficients_N1():
     v = np.array([0.001, 0.002, 0.003])
     params = RibbonParams(N=1, v=v)
     shift = (4 * v[0] / 5 + v[1] + v[2] / 5) / 2
-    assert first_order_upper_edge(1, params) == pytest.approx(
-        math.sqrt(5) + shift, abs=1e-15
-    )
-    assert first_order_upper_edge(-1, params) == pytest.approx(
-        -math.sqrt(5) + shift, abs=1e-15
-    )
+    assert _edges(1, params)[1] == pytest.approx(math.sqrt(5) + shift, abs=1e-15)
+    assert _edges(-1, params)[1] == pytest.approx(-math.sqrt(5) + shift, abs=1e-15)
 
 
 def test_upper_edge_uniform_shift_is_exact():
@@ -176,19 +228,27 @@ def test_upper_edge_uniform_shift_is_exact():
         params = RibbonParams(N=N, v=np.full(2 * N + 1, c))
         for k in range(1, N + 1):
             base = math.sqrt(5 - 4 * math.cos(k * math.pi / (N + 1)))
-            assert first_order_upper_edge(k, params) == pytest.approx(
-                base + c, abs=1e-12
-            )
+            assert _edges(k, params)[1] == pytest.approx(base + c, abs=1e-12)
 
 
 def test_upper_edge_rejects_out_of_range():
+    # band 0 has no first-order outer edge; an overflowing edge raises
     params = RibbonParams(N=2)
-    with pytest.raises((CriterionViolation, ConfigError)):
-        first_order_upper_edge(0, params)
-    with pytest.raises((CriterionViolation, ConfigError)):
-        first_order_upper_edge(3, params)
+    assert first_order_edges(params)[2] == (None, None)
+    assert len(first_order_edges(params)) == 5  # no band k = 3
     with pytest.raises(NumericalError):  # overflows to inf
-        first_order_upper_edge(1, RibbonParams(N=1, v=np.full(3, 1e308)))
+        first_order_edges(RibbonParams(N=1, v=np.full(3, 1e308)))
+
+
+def test_interior_edge_overflow_raises_numerical_error():
+    # N = 2, |k| = 1: the interior weights of v1 and v5 are 1/4 and 1, the
+    # a = 2 weights 1 and 1/4, so only the interior edges overflow, with
+    # no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = RibbonParams(N=2, v=np.array([1e308, 0.0, 0.0, 0.0, 1.7e308]))
+        with pytest.raises(NumericalError, match="k=-1"):
+            first_order_edges(params)
 
 
 def test_edges_match_measured_bands_to_second_order():
@@ -196,9 +256,11 @@ def test_edges_match_measured_bands_to_second_order():
     w = rng.uniform(-1, 1, 5)
     eps = 1e-4
     params = RibbonParams(N=2, v=eps * w)
-    mlo, mhi = band_interval(1, params)
-    assert abs(first_order_lower_edge(1, params) - mlo) <= 10 * eps**2
-    assert abs(first_order_upper_edge(1, params) - mhi) <= 10 * eps**2
+    (_, mlo, mhi, _) = spectrum_report(params).bands[1 + params.N]
+    plo, phi = first_order_edges(params)[1 + params.N]
+    assert (mlo, mhi) == band_interval(1, params)
+    assert abs(plo - mlo) <= 10 * eps**2
+    assert abs(phi - mhi) <= 10 * eps**2
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +313,20 @@ def test_constant_field_matches_measurement():
 def test_strong_field_frozen_smallest_ramp():
     params = RibbonParams(N=1, v=np.array([1.0, 2.0, 3.0]))
     t = 100.0
-    est = strong_field(params, t)
-    np.testing.assert_array_equal(est.xi_minus, [0.0, 1.0, -1.0])
-    np.testing.assert_array_equal(est.xi_plus, [4.0, -3.0, -1.0])
-    assert est.bands[0] == (t - 4 / t, t)
-    assert est.bands[1] == (2 * t - 1 / t, 2 * t + 3 / t)
-    assert est.bands[2] == (3 * t + 1 / t, 3 * t + 1 / t)
-    np.testing.assert_allclose(est.widths, [4 / t, 4 / t, 0.0], atol=1e-18)
+    bands = strong_field(params, t)
+    # the corrections at a = 0 are xi_minus = (0, 1, -1) and at a = 2
+    # xi_plus = (4, -3, -1); each band is t*v_k - (max, min)(xi) / t
+    # (edges differ from t*v_k by rounding, at most one ulp of 3t each)
+    ulp = np.spacing(3 * t)
+    xi_max = [(t * vk - lo) * t for vk, (lo, _) in zip(params.v, bands)]
+    xi_min = [(t * vk - hi) * t for vk, (_, hi) in zip(params.v, bands)]
+    np.testing.assert_allclose(xi_max, [4.0, 1.0, -1.0], atol=2 * t * ulp)
+    np.testing.assert_allclose(xi_min, [0.0, -3.0, -1.0], atol=2 * t * ulp)
+    assert bands[0] == (t - 4 / t, t)
+    assert bands[1] == (2 * t - 1 / t, 2 * t + 3 / t)
+    assert bands[2] == (3 * t + 1 / t, 3 * t + 1 / t)
+    np.testing.assert_allclose([hi - lo for lo, hi in bands], [4 / t, 4 / t, 0.0],
+                               rtol=0, atol=2 * ulp)
 
 
 def test_strong_field_width_rule_general():
@@ -267,14 +336,16 @@ def test_strong_field_width_rule_general():
     v += 0.2 * np.arange(7)  # enforce decent spacing
     params = RibbonParams(N=3, v=v)
     t = 500.0
-    est = strong_field(params, t)
+    widths = [hi - lo for lo, hi in strong_field(params, t)]
     for k in range(1, 8):
         if k == 7:
             expected = 0.0
         else:
             partner = k - (-1) ** k
             expected = 4.0 / (t * abs(v[partner - 1] - v[k - 1]))
-        assert est.widths[k - 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        # hi - lo carries the rounding of both edges near t*v_k
+        ulp = np.spacing(t * v[k - 1])
+        assert widths[k - 1] == pytest.approx(expected, rel=1e-12, abs=2 * ulp)
 
 
 def test_strong_field_validations():
@@ -309,8 +380,8 @@ def test_strong_field_edges_beside_a_huge_site():
 
 def test_strong_field_bands_disjoint_and_ordered():
     params = RibbonParams(N=2, v=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    est = strong_field(params, 50.0)
-    for (lo1, hi1), (lo2, hi2) in zip(est.bands[:-1], est.bands[1:]):
+    bands = strong_field(params, 50.0)
+    for (lo1, hi1), (lo2, hi2) in zip(bands[:-1], bands[1:]):
         assert hi1 < lo2
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -15,8 +16,9 @@ from ribbonband import (
     RibbonParams,
     eigenvalues_batch,
     spectrum_report,
+    weak_field_center,
 )
-from ribbonband.cli import fmt15, main, resolve_potential
+from ribbonband.cli import ORDER_MIN, fmt15, main, resolve_potential
 
 
 def run(args, capsys):
@@ -261,7 +263,7 @@ def test_asymptotics_weak_table(capsys):
     assert lines[0].startswith("band,predicted_lo,predicted_hi")
     assert lines[-1].startswith("order_slope,")
     slope = float(lines[-1].split(",")[1])
-    assert slope >= 1.9
+    assert slope >= ORDER_MIN
     cells = lines[1].split(",")
     assert abs(float(cells[1]) - float(cells[3])) <= 1e-6  # predicted vs measured
 
@@ -323,8 +325,26 @@ def test_asymptotics_strong_table(capsys, monkeypatch):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 5  # header + 3 sites + order row
-    assert float(lines[-1].split(",")[1]) >= 1.9
+    assert float(lines[-1].split(",")[1]) >= ORDER_MIN
     assert len(solved) == 4  # one solve per scale, the table's included
+
+
+def test_asymptotics_edges_table_leaves_unpredicted_cells_empty(capsys):
+    # N = 3: the interior edge exists for |k| < 2 only; its cell and its
+    # error cell are empty for k = +-2, +-3, and band 0 has no row
+    code, out, _ = run(["asymptotics", "--N", "3", "--mode", "edges",
+                        "--potential", "1e-4,2e-4,0,1e-4,3e-4,0,1e-4"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [int(r[0]) for r in rows] == [-3, -2, -1, 1, 2, 3]
+    for r in rows:
+        k = int(r[0])
+        inner = (1, 5) if k > 0 else (2, 6)  # predicted and error cells
+        for i in range(1, 7):
+            empty = abs(k) >= 2 and i in inner
+            assert (r[i] == "") == empty, (k, i, r)
+        errors = [float(x) for x in r[5:] if x]
+        assert errors and max(errors) <= 10 * 3e-4**2
 
 
 def test_asymptotics_strong_needs_t(capsys):
@@ -461,13 +481,19 @@ def test_overflowing_potential_exits_3(capsys):
     assert "numerical error" in err
 
 
-def _run_process(argv):
-    # a real process, so numpy warnings and tracebacks would reach stderr
+def _run_process(argv, max_bytes=None):
+    # a real process, so numpy warnings and tracebacks would reach stderr;
+    # max_bytes caps its address space
     src = os.path.dirname(os.path.dirname(ribbonband.__file__))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
     return subprocess.run(
         [sys.executable, "-m", "ribbonband.cli", *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=None if max_bytes is None else limit,
     )
 
 
@@ -512,6 +538,27 @@ def test_strong_potential_spacing_beyond_float_range_exits_without_warning(
     assert proc.returncode == code
     assert prefix in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--N", "1099511627776"],
+    ["asymptotics", "--N", "50000000", "--mode", "edges", "--potential", "zero"],
+    ["asymptotics", "--N", "50000000", "--mode", "constant-field",
+     "--potential", "constant-field 1e-3"],
+    ["bands", "--N", "1", "--grid", "100000001"],
+    ["bands", "--N", "1", "--grid", "1000000001"],
+    ["bands", "--N", "4096", "--grid", "489"],  # 489 x 8193 cells
+], ids=["N-2^40", "edges-N-5e7", "constant-field-N-5e7", "grid-1e8", "grid-1e9",
+        "cells-at-N-cap"])
+def test_unallocatable_size_exits_2_before_allocating(argv):
+    # the width and CSV-cell caps refuse these before any array of their
+    # size exists; the address-space limit turns a regression into a
+    # MemoryError (exit 1) instead of a host-sized allocation
+    proc = _run_process(argv, max_bytes=1 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("config error:") == 1
+    assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -604,6 +651,22 @@ def test_verify_nan_offdiagonal_exits_3(capsys):
     assert err.startswith("numerical error:")
 
 
+def test_weak_center_order_check_fails_on_a_second_order_error(monkeypatch):
+    # a first-order center off by max|v|^2 errs at order 2: the check must
+    # fail it, as ORDER_MIN = 2.9 sits above the second order
+    import ribbonband.cli as cli_mod
+
+    def off_by_square(a, params):
+        return weak_field_center(a, params) + float(np.max(np.abs(params.v))) ** 2
+
+    w, grid = np.array([0.31, -0.42, 0.11, 0.27, -0.19]), np.linspace(0.0, 2.0, 51)
+    assert cli_mod.check_weak_center_order(w, grid)[1]
+    monkeypatch.setattr(cli_mod, "weak_field_center", off_by_square)
+    _, passed, detail = cli_mod.check_weak_center_order(w, grid)
+    assert not passed
+    assert abs(float(detail.removeprefix("slope=")) - 2.0) < 0.05, detail
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(["verify", "--format", "json"], capsys)
     assert code == 0
@@ -613,6 +676,6 @@ def test_verify_json_format(capsys):
         "axial-reduction oracle (periodic section vs quasimomentum union)",
         "zero-potential closed-form bands",
         "flat-band exactness and criterion sharpness",
-        "weak-field central band first-order error is quadratic",
-        "strong-field top band width decays at second order",
+        "weak-field central band first-order error is third order",
+        "strong-field top band width decays at third order",
     ]
