@@ -32,7 +32,7 @@ from ._optimize import refine_extremum
 from .bands import default_grid
 from .errors import ConfigError, CriterionViolation, NumericalError
 from .jacobi import _offdiagonals, cos_node, sin_node
-from .lattice import RibbonParams
+from .lattice import RibbonParams, _check_N
 
 _HALVINGS = 3  # order_check fits eps0, eps0/2, eps0/4, eps0/8
 
@@ -135,10 +135,10 @@ def constant_field(N: int, eps: float) -> tuple[float, float, float]:
 
     Returns (lo, hi, C_p) with lo = 0, hi = 4*eps*C_p and
     C_p = ((3N-1)*4^N + 1) / (3*(4^{N+1} - 1)), the closed form of
-    3*sum_{k=1..N} k*4^k / (4^{N+1}-1) / 4.
+    3*sum_{k=1..N} k*4^k / (4^{N+1}-1) / 4.  Raises ConfigError unless N is
+    an integer in 1..MAX_N, before 4^N is formed, and on eps < 0.
     """
-    if N < 1:
-        raise ConfigError(f"N must be positive, got {N}")
+    _check_N(N)
     if eps < 0:
         raise ConfigError(f"eps must be nonnegative, got {eps}")
     cp_num = (3 * N - 1) * 4**N + 1
@@ -149,6 +149,7 @@ def constant_field(N: int, eps: float) -> tuple[float, float, float]:
 
 def constant_field_potential(N: int, eps: float) -> RibbonParams:
     """The potential of the constant transverse field family."""
+    _check_N(N)
     v = np.zeros(2 * N + 1)
     v[0::2] = eps * np.arange(N + 1)
     return RibbonParams(N=N, v=v)

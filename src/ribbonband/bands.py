@@ -5,8 +5,10 @@ a in [0, 2]; its band interval sigma_k is the range of that continuous
 function, the spectrum of the full ribbon operator being the union of
 the sigma_k.  Extrema are located by one grid scan of the requested
 bands followed by one bracket search on value and slope refining every
-band's minimum and maximum together, each step one batched LAPACK eigh
-with one (a, band) pair per row, the slope from its eigenvector.  The
+band's minimum and maximum together, each step one batched LAPACK call
+with one (a, band) pair per row, the slope from its eigenvector.  A scan
+of one band on the wide route (p > jacobi._STACK_MAX_P) bisects only
+that band's eigenvalue in each row instead of solving all p.  The
 spectrum report is the one place that assembles all band intervals; its
 central band is flat exactly when the flat-band criterion holds.  The
 zero-potential spectrum has a closed form, used both as public API and
@@ -19,16 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jacobi
 from ._optimize import refine_extremum
 from .errors import ConfigError, NumericalError
 from .jacobi import (
+    _bisect,
     _eigenvalue_slopes,
     cos_node,
     eigenvalues_batch,
     sin_node,
     unperturbed_eigenvalue,
 )
-from .lattice import RibbonParams
+from .lattice import RibbonParams, _check_N
 
 DEFAULT_GRID_POINTS = 401
 
@@ -40,12 +44,22 @@ def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 2.0, points)
 
 
+def _scan(params: RibbonParams, indices: np.ndarray) -> np.ndarray:
+    """default_grid() samples of the given eigenvalue indices, one column
+    each.  One index on the wide route (p > _STACK_MAX_P) is bisected alone
+    in each row; otherwise every row is solved in full and sliced."""
+    grid = default_grid()
+    if indices.size == 1 and params.p > jacobi._STACK_MAX_P:
+        return _bisect(params, grid, np.repeat(indices, grid.size))[0][:, None]
+    return eigenvalues_batch(params, grid)[:, indices]
+
+
 def band_function(k: int, params: RibbonParams) -> np.ndarray:
     """Samples of lambda_k over default_grid() (k-th sorted eigenvalue)."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    return eigenvalues_batch(params, default_grid())[:, k + N]
+    return _scan(params, np.array([k + N]))[:, 0]
 
 
 def _scan_and_refine(params: RibbonParams, indices):
@@ -55,14 +69,12 @@ def _scan_and_refine(params: RibbonParams, indices):
     Returns fx, (2, len(indices)): fx[0, j] and fx[1, j] are the refined
     minimum and maximum of eigenvalue indices[j].
     """
-    grid = default_grid()
     indices = np.asarray(indices)
-    values = eigenvalues_batch(params, grid)[:, indices]
 
     def f(cols, a):
         return _eigenvalue_slopes(params, a, indices[cols])
 
-    return refine_extremum(f, grid, values)[1]
+    return refine_extremum(f, default_grid(), _scan(params, indices))[1]
 
 
 def band_interval(k: int, params: RibbonParams) -> tuple[float, float]:
@@ -112,11 +124,13 @@ def _report_from_intervals(bands, edge_tol: float = 0.0) -> SpectrumReport:
     for x in sorted({x for iv in solid for x in iv}):
         if not edges or x - edges[-1] > edge_tol:
             edges.append(x)
+    # bands covering mid: #(lo <= mid) - #(hi < mid), as lo <= hi
+    lo, hi = np.sort(np.array(solid).T)
+    mid = 0.5 * np.array(edges[:-1]) + 0.5 * np.array(edges[1:])
+    counts = np.searchsorted(lo, mid, "right") - np.searchsorted(hi, mid, "left")
     gaps = []
     windows = []
-    for x1, x2 in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * x1 + 0.5 * x2
-        count = sum(1 for lo, hi in solid if lo <= mid <= hi)
+    for x1, x2, count in zip(edges[:-1], edges[1:], counts.tolist()):
         if count == 0:  # mid, in [x1, x2] and in no band, is inside the hull
             if gaps and gaps[-1][1] == x1:
                 gaps[-1] = (gaps[-1][0], x2)
@@ -156,10 +170,10 @@ def unperturbed_spectrum(N: int) -> SpectrumReport:
 
     sigma_0 = {0} (flat); for k > 0, sigma_k = [s_k, sqrt(5-4c_k)] when
     c_k >= 0 (minimum attained at a = c_k) and [1, sqrt(5-4c_k)] when
-    c_k < 0 (minimum at a = 0); sigma_{-k} = -sigma_k.
+    c_k < 0 (minimum at a = 0); sigma_{-k} = -sigma_k.  Raises ConfigError
+    unless N is an integer in 1..MAX_N.
     """
-    if N < 1:
-        raise ConfigError(f"N must be positive, got {N}")
+    _check_N(N)
     rows = []
     for k in range(-N, N + 1):
         if k == 0:

@@ -26,6 +26,7 @@ scientific otherwise, so identical configs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -364,7 +365,7 @@ def _asy_constant_field(config: argparse.Namespace) -> str:
         raise ConfigError(
             "constant-field mode needs --potential 'constant-field EPS'"
         )
-    params = _params(config)  # rejects a bad N before constant_field forms 4^N
+    params = _params(config)
     plo, phi, cp = constant_field(config.N, named[1])
     mlo, mhi = band_interval(0, params)
     rows = [
@@ -544,6 +545,7 @@ def _emit(text: str, path: str | None) -> None:
         raise ConfigError(f"cannot write --out {path}: {exc}") from exc
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ribbonband",

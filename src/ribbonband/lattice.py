@@ -33,6 +33,12 @@ PERIODIC = "periodic"
 OPEN = "open"
 
 
+def _check_N(N) -> None:
+    """Raise ConfigError unless N is an integer in 1..MAX_N."""
+    if not isinstance(N, (int, np.integer)) or not 1 <= N <= MAX_N:
+        raise ConfigError(f"N must be an integer in 1..{MAX_N}, got {N!r}")
+
+
 @dataclass(frozen=True)
 class RibbonParams:
     """Ribbon half-width N and transverse on-site potential v (length p = 2N+1).
@@ -46,8 +52,7 @@ class RibbonParams:
     v: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or not 1 <= self.N <= MAX_N:
-            raise ConfigError(f"N must be an integer in 1..{MAX_N}, got {self.N!r}")
+        _check_N(self.N)
         v = self.v
         if v is None:
             v = np.zeros(self.p)

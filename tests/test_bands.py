@@ -15,6 +15,7 @@ from ribbonband import (
     RibbonParams,
     band_function,
     band_interval,
+    constant_field,
     default_grid,
     flat_band_criterion,
     eigenvalues_batch,
@@ -473,3 +474,170 @@ def test_zero_potential_report_at_n256_matches_closed_form():
     for (k1, lo1, hi1, f1), (k2, lo2, hi2, f2) in zip(closed.bands, measured.bands):
         assert k1 == k2 and f1 == f2
         assert abs(lo1 - lo2) <= 1e-10 and abs(hi1 - hi2) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one-band scans: on the wide route only the requested band is bisected
+# ---------------------------------------------------------------------------
+
+def _full_route_interval(params, k):
+    """band_interval(k) refined from the sliced full rows of eigenvalues_batch."""
+    grid, band = default_grid(), np.array([k + params.N])
+    values = eigenvalues_batch(params, grid)[:, band]
+    _, fx = refine_extremum(lambda cols, a: _eigenvalue_slopes(params, a, band[cols]),
+                            grid, values)
+    return float(fx[0, 0]), float(fx[1, 0])
+
+
+def _one_band_potentials(widths):
+    """RibbonParams in five shapes (random, equal pairs, zero, flat, ramp)
+    at scales 1e-4, 1 and 30, the widths taken in turn."""
+    rng = np.random.default_rng(20261019)
+    shapes = ("random", "equal-pairs", "zero", "flat", "ramp")
+    cases = [(shape, scale) for shape in shapes for scale in (1e-4, 1.0, 30.0)]
+    for i, (shape, scale) in enumerate(cases):
+        N = widths[i % len(widths)]
+        v = rng.uniform(-1.0, 1.0, 2 * N + 1)
+        if shape == "equal-pairs":
+            v[2::2] = v[1::2]
+        elif shape == "zero":
+            v[:] = 0.0
+        elif shape == "flat":
+            v[0::2] = v[0]
+        elif shape == "ramp":
+            v = np.linspace(-1.0, 1.0, 2 * N + 1)
+        yield RibbonParams(N=N, v=scale * v)
+
+
+def test_one_band_scan_matches_full_rows_on_wide_route():
+    for params in _one_band_potentials((6, 9, 16, 33, 64, 128)):
+        N = params.N
+        full = eigenvalues_batch(params, default_grid())
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
+        for k in sorted({-N, -1, 0, 1, N, N // 2}):
+            assert np.max(np.abs(band_function(k, params) - full[:, k + N])) <= tol, (N, k)
+
+
+def test_one_band_interval_matches_spectrum_report_on_wide_route():
+    for params in _one_band_potentials((6, 9, 12, 16, 24, 33)):
+        N = params.N
+        bands = spectrum_report(params).bands
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(params.v))))
+        for k in sorted({-N, -1, 0, 1, N, N // 2}):
+            lo, hi = band_interval(k, params)
+            assert abs(lo - bands[k + N][1]) <= tol, (N, k)
+            assert abs(hi - bands[k + N][2]) <= tol, (N, k)
+
+
+def test_one_band_scan_bit_equal_on_dense_stacks():
+    # p <= 11: the rows are the dense eigvalsh stacks, sliced
+    rng = np.random.default_rng(5)
+    for N in range(1, 6):
+        params = RibbonParams(N=N, v=rng.uniform(-1.0, 1.0, 2 * N + 1))
+        full = eigenvalues_batch(params, default_grid())
+        for k in range(-N, N + 1):
+            np.testing.assert_array_equal(band_function(k, params), full[:, k + N])
+            assert band_interval(k, params) == _full_route_interval(params, k)
+
+
+@pytest.mark.parametrize("v", [
+    np.full(33, 1e308),
+    1.7e308 * (-1.0) ** np.arange(33),
+    1e300 * np.arange(1.0, 34.0),
+], ids=["1e308-ones", "1.7e308-alternating", "1e300-ramp"])
+def test_one_band_scan_near_float_limit_matches_full_route(v):
+    # N = 16: the same finite values, or NumericalError on both routes
+    params = RibbonParams(N=16, v=v)
+    for k in (-16, 0, 5, 16):
+        for one, full in ((lambda: band_function(k, params),
+                           lambda: eigenvalues_batch(params, default_grid())[:, k + 16]),
+                          (lambda: band_interval(k, params),
+                           lambda: _full_route_interval(params, k))):
+            outcomes = []
+            for route in (one, full):
+                try:
+                    outcomes.append(np.asarray(route()))
+                except NumericalError:
+                    outcomes.append(None)
+            a, b = outcomes
+            assert (a is None) == (b is None), k
+            if a is not None:
+                assert np.all(np.isfinite(a))
+                np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+def test_one_band_scan_does_not_solve_all_eigenvalues(monkeypatch):
+    import scipy.linalg.lapack
+
+    def no_dsterf(*args, **kwargs):
+        raise AssertionError("dsterf called by a one-band scan")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", no_dsterf)
+    params = RibbonParams(N=64, v=np.random.default_rng(8).uniform(-1.0, 1.0, 129))
+    assert band_function(3, params).shape == (401,)
+    lo, hi = band_interval(3, params)
+    assert lo <= hi
+    with pytest.raises(AssertionError):
+        eigenvalues_batch(params, [0.5])
+
+
+# ---------------------------------------------------------------------------
+# window counts from sorted edges, and the width cap of the closed forms
+# ---------------------------------------------------------------------------
+
+def _report_by_scanning_bands(rows, edge_tol):
+    """(gaps, windows) with each window counted by a scan of every band."""
+    solid = [(lo, hi) for (_, lo, hi, flat) in rows if not flat]
+    edges = []
+    for x in sorted({x for iv in solid for x in iv}):
+        if not edges or x - edges[-1] > edge_tol:
+            edges.append(x)
+    gaps, windows = [], []
+    for x1, x2 in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * x1 + 0.5 * x2
+        count = sum(1 for lo, hi in solid if lo <= mid <= hi)
+        if count == 0:
+            if gaps and gaps[-1][1] == x1:
+                gaps[-1] = (gaps[-1][0], x2)
+            else:
+                gaps.append((x1, x2))
+        elif windows and windows[-1][0][1] == x1 and windows[-1][1] == count:
+            windows[-1] = ((windows[-1][0][0], x2), count)
+        else:
+            windows.append(((x1, x2), count))
+    return tuple(gaps), tuple(windows)
+
+
+def test_window_counts_match_a_scan_of_every_band():
+    # random interval sets: adjacent floats, subnormals, rounded values and
+    # flat rows, at edge_tol 0, 1e-10 and 0.5
+    rng = np.random.default_rng(11)
+    for trial in range(3000):
+        n = int(rng.integers(1, 12))
+        kind = trial % 4
+        if kind == 0:
+            base = rng.uniform(-1.0, 1.0)
+            x = base + rng.integers(-4, 5, (n, 2)) * np.spacing(base)
+        elif kind == 1:
+            x = rng.integers(-6, 7, (n, 2)) * 5e-324
+        elif kind == 2:
+            x = np.round(rng.uniform(-1.0, 1.0, (n, 2)), 1)
+        else:
+            x = rng.uniform(-2.0, 2.0, (n, 2))
+        x = np.sort(x, axis=1)
+        flat = rng.random(n) < 0.1
+        rows = [(j, float(lo), float(hi), bool(f)) for j, ((lo, hi), f) in
+                enumerate(zip(x, flat))]
+        edge_tol = (0.0, 1e-10, 0.5)[trial % 3]
+        report = _report_from_intervals(rows, edge_tol)
+        gaps, windows = _report_by_scanning_bands(rows, edge_tol)
+        assert report.gaps == gaps and report.multiplicity_windows == windows
+        assert all(type(c) is int for _, c in report.multiplicity_windows)
+
+
+@pytest.mark.parametrize("N", [0, -1, 4097, 5000, 2**40, 2.5])
+def test_closed_forms_reject_widths_outside_the_cap(N):
+    with pytest.raises(ConfigError, match=r"N must be an integer in 1\.\.4096"):
+        unperturbed_spectrum(N)
+    with pytest.raises(ConfigError, match=r"N must be an integer in 1\.\.4096"):
+        constant_field(N, 1e-3)
