@@ -44,14 +44,14 @@ def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 2.0, points)
 
 
-def _scan(params: RibbonParams, indices: np.ndarray) -> np.ndarray:
-    """default_grid() samples of the given eigenvalue indices, one column
-    each.  One index on the wide route (p > _STACK_MAX_P) is bisected alone
-    in each row; otherwise every row is solved in full and sliced."""
+def _scan(params: RibbonParams, j: int) -> np.ndarray:
+    """default_grid() samples of eigenvalue j.  On the wide route
+    (p > _STACK_MAX_P) only that eigenvalue is bisected in each row;
+    otherwise every row is solved in full and sliced."""
     grid = default_grid()
-    if indices.size == 1 and params.p > jacobi._STACK_MAX_P:
-        return _bisect(params, grid, np.repeat(indices, grid.size))[0][:, None]
-    return eigenvalues_batch(params, grid)[:, indices]
+    if params.p > jacobi._STACK_MAX_P:
+        return _bisect(params, grid, np.full(grid.size, j))[0]
+    return eigenvalues_batch(params, grid)[:, j]
 
 
 def band_function(k: int, params: RibbonParams) -> np.ndarray:
@@ -59,22 +59,21 @@ def band_function(k: int, params: RibbonParams) -> np.ndarray:
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    return _scan(params, np.array([k + N]))[:, 0]
+    return _scan(params, k + N)
 
 
-def _scan_and_refine(params: RibbonParams, indices):
-    """One default_grid() scan of the given eigenvalue indices, then one
-    batched value-and-slope refinement of each index's minimum and maximum.
+def _refine(params: RibbonParams, indices: np.ndarray, values: np.ndarray):
+    """One batched value-and-slope refinement of the minimum and maximum
+    of each eigenvalue indices[j], seeded by its default_grid() samples
+    values[:, j].
 
     Returns fx, (2, len(indices)): fx[0, j] and fx[1, j] are the refined
     minimum and maximum of eigenvalue indices[j].
     """
-    indices = np.asarray(indices)
-
     def f(cols, a):
         return _eigenvalue_slopes(params, a, indices[cols])
 
-    return refine_extremum(f, default_grid(), _scan(params, indices))[1]
+    return refine_extremum(f, default_grid(), values)[1]
 
 
 def band_interval(k: int, params: RibbonParams) -> tuple[float, float]:
@@ -82,7 +81,7 @@ def band_interval(k: int, params: RibbonParams) -> tuple[float, float]:
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    fx = _scan_and_refine(params, [k + N])
+    fx = _refine(params, np.array([k + N]), _scan(params, k + N)[:, None])
     return float(fx[0, 0]), float(fx[1, 0])
 
 
@@ -153,7 +152,13 @@ def spectrum_report(params: RibbonParams) -> SpectrumReport:
     reported as exactly [v_1, v_1]; no band is judged flat by its measured
     width.
     """
-    fx = _scan_and_refine(params, np.arange(params.p))
+    return _report_from_scan(params, eigenvalues_batch(params, default_grid()))
+
+
+def _report_from_scan(params: RibbonParams, values: np.ndarray) -> SpectrumReport:
+    """spectrum_report from its scan values = eigenvalues_batch(params,
+    default_grid()), which a caller that already holds it passes in."""
+    fx = _refine(params, np.arange(params.p), values)
     rows = [(j - params.N, float(fx[0, j]), float(fx[1, j]), False)
             for j in range(params.p)]
     if flat_band_criterion(params):

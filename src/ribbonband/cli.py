@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .asymptotics import (
 )
 from .bands import (
     DEFAULT_GRID_POINTS,
+    SpectrumReport,
+    _report_from_scan,
     band_interval,
     default_grid,
     flat_band_criterion,
@@ -190,8 +194,7 @@ def parse_config_file(path: str, command: str) -> list[str]:
 # bands
 # ---------------------------------------------------------------------------
 
-def _report_dict(params: RibbonParams) -> dict:
-    rep = spectrum_report(params)
+def _report_dict(rep: SpectrumReport) -> dict:
     bands = []
     for k, lo, hi, is_flat in rep.bands:
         row = {"k": k, "lo": lo, "hi": hi, "flat": bool(is_flat)}
@@ -199,7 +202,7 @@ def _report_dict(params: RibbonParams) -> dict:
             row["value"] = lo
         bands.append(row)
     return {
-        "N": params.N,
+        "N": len(rep.bands) // 2,
         "bands": bands,
         "gaps": [list(g) for g in rep.gaps],
         "multiplicity_windows": [
@@ -229,24 +232,45 @@ def _report_text(report: dict) -> str:
 CSV_CELL_CAP = 4_000_000
 
 
-def cmd_bands(config: argparse.Namespace) -> tuple[str, dict]:
+def _csv_lines(grid: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """The CSV line of each grid point a = grid[i], then the cells
+    values[i]: every number as fmt15 prints it, each line ending in a
+    newline.  Every cell must be finite.  Both arrays are changed in place
+    (-0.0 becomes 0.0), and the lines are made one at a time, as the
+    returned iterator is read.
+    """
+    for cells in (grid, values):
+        cells += 0.0  # -0.0 + 0.0 is 0.0
+    # "%#.15g" is fmt15's format; it leaves a bare "." on 15-digit integers
+    template = ",".join(["%#.15g"] * (1 + values.shape[1])) + "\n"
+    return ((template % (a, *row.tolist())).replace(".,", ",").replace(".\n", "\n")
+            for a, row in zip(grid, values))
+
+
+def cmd_bands(config: argparse.Namespace) -> tuple[Iterator[str], dict]:
     """Band CSV (one row per --grid point) plus the spectrum report, whose
-    edges are seeded from default_grid() whatever --grid says.  A table of
-    more than CSV_CELL_CAP eigenvalue cells is a ConfigError, raised before
-    the grid is allocated."""
+    edges are seeded from default_grid() whatever --grid says: at the
+    default --grid the CSV rows are that scan, and the report reuses them.
+    Returns the CSV lines, an iterator that makes them one row at a time,
+    and the report dict.  A table of more than CSV_CELL_CAP eigenvalue
+    cells is a ConfigError, raised before the grid is allocated; a
+    non-finite cell is a NumericalError, raised before the report is made."""
     params = _params(config)
     if config.grid * params.p > CSV_CELL_CAP:
         raise ConfigError(f"--grid {config.grid} x p = {params.p} is "
                           f"{config.grid * params.p} CSV cells, beyond {CSV_CELL_CAP}")
     grid = default_grid(config.grid)
     values = eigenvalues_batch(params, grid)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericalError(f"non-finite result {values[~finite][0]}")
+    if config.grid == DEFAULT_GRID_POINTS:
+        rep = _report_from_scan(params, values)  # before _csv_lines changes it
+    else:
+        rep = spectrum_report(params)
     N = params.N
-    header = "a," + ",".join(f"lambda_{k}" for k in range(-N, N + 1))
-    rows = [header]
-    for i, a in enumerate(grid):
-        rows.append(",".join([fmt15(a)] + [fmt15(x) for x in values[i]]))
-    csv_text = "\n".join(rows) + "\n"
-    return csv_text, _report_dict(params)
+    header = "a," + ",".join(f"lambda_{k}" for k in range(-N, N + 1)) + "\n"
+    return itertools.chain([header], _csv_lines(grid, values)), _report_dict(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +558,15 @@ def cmd_verify(offdiag_shift: float = 0.0) -> tuple[bool, list]:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write text, one str or an iterable of str, to path (default stdout)."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {path}: {exc}") from exc
 
@@ -586,13 +612,13 @@ def main(argv=None) -> int:
                 args.config, args.command) + argv[at:])
         json_out = getattr(args, "format", "csv") == "json"
         if args.command == "bands":
-            csv_text, report = cmd_bands(args)
+            csv_lines, report = cmd_bands(args)
             report_text = _json_text(report) if json_out else _report_text(report)
             if args.out is None:
-                sys.stdout.write(csv_text)
+                _emit(csv_lines, None)
                 sys.stderr.write(report_text)
             else:
-                _emit(csv_text, args.out)
+                _emit(csv_lines, args.out)
                 _emit(report_text, args.out + (".report.json" if json_out
                                                else ".report.txt"))
             return 0

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ribbonband
 from ribbonband import (
@@ -18,7 +20,15 @@ from ribbonband import (
     spectrum_report,
     weak_field_center,
 )
-from ribbonband.cli import ORDER_MIN, fmt15, main, resolve_potential
+from ribbonband.cli import (
+    ORDER_MIN,
+    _csv_lines,
+    _json_text,
+    _report_dict,
+    fmt15,
+    main,
+    resolve_potential,
+)
 
 
 def run(args, capsys):
@@ -64,6 +74,40 @@ def test_fmt15_picks_notation_from_the_rounded_magnitude():
     assert fmt15(-np.nextafter(1e-4, 0.0)) == "-0.000100000000000000"
     assert fmt15(-0.0) == "0.00000000000000"
     assert fmt15(123456789012345.0) == "123456789012345"
+
+
+def _csv_row(row) -> str:
+    """_csv_lines' line for one row: a = row[0], then the cells row[1:]."""
+    row = np.array(row, dtype=float)
+    return "".join(_csv_lines(row[:1].copy(), row[None, 1:].copy()))
+
+
+# -0.0, subnormals, the fixed/scientific border near 1e-4, and the
+# 15-digit integers [1e14, 1e15) whose "#.15g" text ends in a bare point
+_EDGE_CELLS = [-0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+               float(np.nextafter(1e-4, 0.0)), -float(np.nextafter(1e-4, 0.0)),
+               99999999999999.95, -99999999999999.95, 123456789012345.0,
+               -123456789012345.0, 1e308, -1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12))
+def test_csv_lines_print_every_cell_as_fmt15(row):
+    assert _csv_row(row) == ",".join(fmt15(x) for x in row) + "\n"
+
+
+@pytest.mark.parametrize("x", _EDGE_CELLS)
+def test_csv_lines_edge_cells_at_every_position(x):
+    for row in ([x], [x, x], [1.0, x], [x, 1.0], [1.0, x, 1.0]):
+        assert _csv_row(row) == ",".join(fmt15(y) for y in row) + "\n"
+
+
+def test_csv_lines_drop_only_the_bare_point():
+    assert _csv_row(_EDGE_CELLS) == ",".join(fmt15(y) for y in _EDGE_CELLS) + "\n"
+    assert _csv_row([123456789012345.0, 99999999999999.95, -0.0]) == (
+        "123456789012345,100000000000000,0.00000000000000\n")
+    assert _csv_row([1.5, 123456789012345.0]) == "1.50000000000000,123456789012345\n"
 
 
 def test_resolve_potential_named_forms():
@@ -158,6 +202,56 @@ def test_bands_report_does_not_depend_on_grid(points, capsys):
     assert code == 0
     assert len(csv.strip().split("\n")) == int(points) + 1
     assert report == default_report
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+@pytest.mark.parametrize("points", ["401", "5"])
+def test_bands_report_is_the_spectrum_report(N, points, tmp_path, capsys):
+    # at the default grid the report reuses the CSV's scan; at any grid it
+    # is byte for byte the report of spectrum_report(params)
+    v = np.random.default_rng(N).uniform(-1.0, 1.0, 2 * N + 1)
+    out = tmp_path / "bands.csv"
+    code, _, _ = run(["bands", "--N", str(N), "--grid", points, "--format", "json",
+                      "--potential=" + ",".join(repr(float(x)) for x in v),
+                      "--out", str(out)], capsys)
+    assert code == 0
+    expected = _json_text(_report_dict(spectrum_report(RibbonParams(N, v))))
+    assert (tmp_path / "bands.csv.report.json").read_text() == expected
+    assert len(out.read_text().splitlines()) == int(points) + 1
+
+
+@pytest.mark.parametrize("points, report_scans", [("401", 0), ("5", 1)])
+def test_bands_report_shares_the_default_grid_scan(points, report_scans,
+                                                   monkeypatch, capsys):
+    import ribbonband.bands as bands_mod
+
+    scans = []
+
+    def counted(params, a_values):
+        scans.append(len(a_values))
+        return eigenvalues_batch(params, a_values)
+
+    monkeypatch.setattr(bands_mod, "eigenvalues_batch", counted)
+    code, _, _ = run(["bands", "--N", "4", "--potential", "ramp", "--grid", points],
+                     capsys)
+    assert code == 0
+    assert scans == [401] * report_scans
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bands_non_finite_cell_exits_3(bad, monkeypatch, capsys):
+    import ribbonband.cli as cli_mod
+
+    def spoiled(params, a_values):
+        values = eigenvalues_batch(params, a_values)
+        values[len(a_values) // 2, -1] = bad
+        return values
+
+    monkeypatch.setattr(cli_mod, "eigenvalues_batch", spoiled)
+    code, out, err = run(["bands", "--N", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"numerical error: non-finite result {bad}"]
 
 
 def test_bands_json_reports_flat_band_exactly(tmp_path, capsys):
