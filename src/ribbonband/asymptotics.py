@@ -35,6 +35,13 @@ from .jacobi import _offdiagonals, cos_node, sin_node
 from .lattice import RibbonParams, _check_N
 
 _HALVINGS = 3  # order_check fits eps0, eps0/2, eps0/4, eps0/8
+# _center_and_slope's rescaling step.  After t terms den < 4^t / 3 (z = a^2
+# <= 4), below _RESCALE up to t = _RESCALE_AFTER, so no check runs before.
+# At the end den <= _RESCALE, so the slope's products dnum * den and
+# num * dden, about N |v| den^2 / 4, stay finite up to |v| ~ 1e64 at MAX_N
+# (a threshold of 2^500 would overflow them from |v| ~ 1e5).
+_RESCALE = 2.0**400
+_RESCALE_AFTER = 200
 
 
 def weak_field_center(a, params: RibbonParams):
@@ -52,15 +59,25 @@ def weak_field_center(a, params: RibbonParams):
 def _center_and_slope(a, params: RibbonParams):
     """weak_field_center and its a-derivative: Horner in z = a^2 carrying
     the derivatives of numerator and denominator, quotient rule, dz/da.
-    Raises NumericalError when either leaves float64 range."""
+    Where den passes _RESCALE, the four sums and the scale of the
+    coefficients still to come are multiplied by 1 / _RESCALE, a power of
+    two, so the quotients are unchanged and nothing overflows at a = 2,
+    where den reaches 4^N.  Raises NumericalError when either result
+    leaves float64 range."""
     z = a * a
     num = den = dnum = dden = 0.0
+    scale = 1.0  # of the coefficients: 1 / _RESCALE per rescaling so far
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite -> raised below
-        for vk in params.v[0::2][::-1]:  # v_p, ..., v_3, v_1
+        for terms, vk in enumerate(params.v[0::2][::-1], 1):  # v_p, ..., v_3, v_1
             dnum = dnum * z + num
             dden = dden * z + den
-            num = num * z + vk
-            den = den * z + 1.0
+            num = num * z + vk * scale
+            den = den * z + scale
+            if terms > _RESCALE_AFTER:
+                big = den > _RESCALE
+                if np.any(big):
+                    num, den, dnum, dden, scale = (
+                        np.where(big, x / _RESCALE, x) for x in (num, den, dnum, dden, scale))
         center = num / den
         slope = 2.0 * a * (dnum * den - num * dden) / (den * den)
     if not (np.all(np.isfinite(center)) and np.all(np.isfinite(slope))):

@@ -5,10 +5,11 @@ a in [0, 2]; its band interval sigma_k is the range of that continuous
 function, the spectrum of the full ribbon operator being the union of
 the sigma_k.  Extrema are located by one grid scan of the requested
 bands followed by one bracket search on value and slope refining every
-band's minimum and maximum together, each step one batched LAPACK call
-with one (a, band) pair per row, the slope from its eigenvector.  A scan
-of one band on the wide route (p > jacobi._STACK_MAX_P) bisects only
-that band's eigenvalue in each row instead of solving all p.  The
+band's minimum and maximum together, each step one batched call with one
+(a, band) pair per row, the slope from its eigenvector.  The grid scan of
+every band takes all eigenvalues per row (eigenvalues_batch); the scan of
+one band, and each refinement step, takes only the selected eigenvalues
+(jacobi._selected), which picks its own LAPACK route.  The
 spectrum report is the one place that assembles all band intervals; its
 central band is flat exactly when the flat-band criterion holds.  The
 zero-potential spectrum has a closed form, used both as public API and
@@ -21,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi
 from ._optimize import refine_extremum
 from .errors import ConfigError, NumericalError
 from .jacobi import (
-    _bisect,
-    _eigenvalue_slopes,
+    _selected,
     cos_node,
     eigenvalues_batch,
     sin_node,
@@ -44,22 +43,13 @@ def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     return np.linspace(0.0, 2.0, points)
 
 
-def _scan(params: RibbonParams, j: int) -> np.ndarray:
-    """default_grid() samples of eigenvalue j.  On the wide route
-    (p > _STACK_MAX_P) only that eigenvalue is bisected in each row;
-    otherwise every row is solved in full and sliced."""
-    grid = default_grid()
-    if params.p > jacobi._STACK_MAX_P:
-        return _bisect(params, grid, np.full(grid.size, j))[0]
-    return eigenvalues_batch(params, grid)[:, j]
-
-
 def band_function(k: int, params: RibbonParams) -> np.ndarray:
     """Samples of lambda_k over default_grid() (k-th sorted eigenvalue)."""
     N = params.N
     if not -N <= k <= N:
         raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    return _scan(params, k + N)
+    grid = default_grid()
+    return _selected(params, grid, np.full(grid.size, k + N))[0]
 
 
 def _refine(params: RibbonParams, indices: np.ndarray, values: np.ndarray):
@@ -71,17 +61,15 @@ def _refine(params: RibbonParams, indices: np.ndarray, values: np.ndarray):
     minimum and maximum of eigenvalue indices[j].
     """
     def f(cols, a):
-        return _eigenvalue_slopes(params, a, indices[cols])
+        return _selected(params, a, indices[cols], slopes=True)
 
     return refine_extremum(f, default_grid(), values)[1]
 
 
 def band_interval(k: int, params: RibbonParams) -> tuple[float, float]:
     """(min, max) of lambda_k over a in [0,2]: grid scan + slope refinement."""
-    N = params.N
-    if not -N <= k <= N:
-        raise ConfigError(f"band index k={k} outside -{N}..{N}")
-    fx = _refine(params, np.array([k + N]), _scan(params, k + N)[:, None])
+    values = band_function(k, params)
+    fx = _refine(params, np.array([k + params.N]), values[:, None])
     return float(fx[0, 0]), float(fx[1, 0])
 
 

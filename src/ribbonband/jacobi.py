@@ -6,24 +6,24 @@ a = a(t) = 2|cos(t/2)|, diagonal v, and alternating off-diagonals
 (a, 1, a, 1, ..., a, 1).  This module owns:
 
   * the t -> a map and the off-diagonal pattern (_offdiagonals),
-  * one eigenvalue kernel, eigenvalues(params, off), for single matrices,
-    a grids and the oracle's Bloch rows, every row to LAPACK, a = 0
-    included,
-  * one selected eigenvalue per row with its a-slope (Hellmann-Feynman,
-    from the eigenvector), for the refinement of band extrema,
-  * on the wide route, one selected eigenvalue per row alone (_bisect),
-    for the scan of a single band,
+  * two eigenvalue kernels: eigenvalues(params, off) gives all
+    eigenvalues of each row, for single matrices, a grids and the
+    oracle's Bloch rows, a = 0 included; _selected(params, a_values,
+    indices) gives one selected eigenvalue per row, with its a-slope
+    (Hellmann-Feynman, from the eigenvector) on request, for the scan of
+    one band and the refinement of band extrema,
   * closed-form eigenvalues at zero potential.
 
-Both kernels pick their LAPACK route by the width p = 2N + 1.  Up to
-_STACK_MAX_P, where a dense solve is cheapest, they solve dense p x p
-stacks (numpy.linalg.eigvalsh and eigh; one stack loop, _solve_stacks).
-Wider rows, where the dense O(p^3) work is almost all on zeros, go to the
-tridiagonal routines of scipy.linalg.lapack, one row per call: dsterf
-(the routine eigvalsh reaches after its tridiagonal reduction, O(p^2)) for
-all eigenvalues, and for one selected eigenvalue dstebz (bisection by
-index, O(p) per step), then dstein (inverse iteration) where its
-eigenvector is wanted; see Parlett, The Symmetric Eigenvalue Problem.
+Only this module picks a LAPACK route, by the width p = 2N + 1.  Up to
+_STACK_MAX_P, where a dense solve is cheapest, both kernels solve dense
+p x p stacks (numpy.linalg.eigvalsh, or eigh for slopes; one stack loop,
+_solve_stacks).  Wider rows, where the dense O(p^3) work is almost all on
+zeros, go to the tridiagonal routines of scipy.linalg.lapack, one row per
+call: dsterf (the routine eigvalsh reaches after its tridiagonal
+reduction, O(p^2)) for all eigenvalues, and for one selected eigenvalue
+dstebz (bisection by index, O(p) per step), then dstein (inverse
+iteration) where its eigenvector is wanted; see Parlett, The Symmetric
+Eigenvalue Problem.
 """
 
 from __future__ import annotations
@@ -144,57 +144,49 @@ def _slope(psi: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(psi[..., :-1:2] * psi[..., 1::2], axis=-1)
 
 
-def _bisect(params: RibbonParams, a_values, indices, slopes: bool = False):
-    """(lambda, dlambda/da) of eigenvalue indices[r] of J_a, a = a_values[r],
-    on the wide route (p > _STACK_MAX_P): dstebz bisects that one eigenvalue,
-    O(p) per step, and with slopes dstein adds its eigenvector; slope is None
-    without.  The two do not scale their input, so the matrices are first
-    scaled by one power of two (exact) to entries below 1 in magnitude; a
-    potential near the float64 limit then gives the same finite values as
-    the dense route.  Raises NumericalError on a non-finite result or a
-    failed solve.
-    """
-    from scipy.linalg.lapack import dstebz, dstein
+def _selected(params: RibbonParams, a_values, indices, slopes: bool = False):
+    """(lambda, dlambda/da) of eigenvalue indices[r] of J_a, a = a_values[r];
+    the slope, from the eigenvector of the same solve, only with slopes,
+    else None.
 
+    Up to _STACK_MAX_P the value is picked from the dense stacks of
+    _solve_stacks (numpy.linalg.eigvalsh, or eigh with slopes).  Wider rows
+    compute the one selected eigenvalue: dstebz bisects it, O(p) per step,
+    and with slopes dstein adds its eigenvector.  The two do not scale
+    their input, so the matrices are first scaled by one power of two
+    (exact) to entries below 1 in magnitude; a potential near the float64
+    limit then gives the same finite values as the dense route.  Raises
+    NumericalError on a non-finite result or a failed solve.
+    """
     off = _offdiagonals(params.p, a_values)
-    exp = np.frexp(max(np.max(np.abs(params.v)), np.max(off, initial=0.0)))[1]
-    v, off = np.ldexp(params.v, -exp), np.ldexp(off, -exp)
     lam, slope = np.empty(off.shape[0]), (np.empty(off.shape[0]) if slopes else None)
-    for r, k in enumerate(indices):
-        m, w, iblock, isplit, info = dstebz(v, off[r], 2, 0.0, 1.0, k + 1, k + 1,
-                                            0.0, "B")
-        if info != 0 or m != 1:
-            raise NumericalError(f"LAPACK dstebz failed (info {info}, {m} found)")
-        lam[r] = w[0]
-        if slopes:
-            z, info = dstein(v, off[r], w[:1], iblock, isplit)
-            if info != 0:
-                raise NumericalError(f"LAPACK dstein failed (info {info})")
-            slope[r] = _slope(z[:, 0])
-    with np.errstate(over="ignore"):
-        lam = np.ldexp(lam, exp)
+    if params.p <= _STACK_MAX_P:
+        solve = np.linalg.eigh if slopes else np.linalg.eigvalsh
+        for r, result in _solve_stacks(solve, params.v, off):
+            w, V = result if slopes else (result, None)
+            rows = np.arange(w.shape[0])
+            lam[r] = w[rows, indices[r]]
+            if slopes:
+                slope[r] = _slope(V[rows, :, indices[r]])
+    else:
+        from scipy.linalg.lapack import dstebz, dstein
+
+        exp = np.frexp(max(np.max(np.abs(params.v)), np.max(off, initial=0.0)))[1]
+        v, off = np.ldexp(params.v, -exp), np.ldexp(off, -exp)
+        for r, k in enumerate(indices):
+            m, w, iblock, isplit, info = dstebz(v, off[r], 2, 0.0, 1.0, k + 1, k + 1,
+                                                0.0, "B")
+            if info != 0 or m != 1:
+                raise NumericalError(f"LAPACK dstebz failed (info {info}, {m} found)")
+            lam[r] = w[0]
+            if slopes:
+                z, info = dstein(v, off[r], w[:1], iblock, isplit)
+                if info != 0:
+                    raise NumericalError(f"LAPACK dstein failed (info {info})")
+                slope[r] = _slope(z[:, 0])
+        with np.errstate(over="ignore"):
+            lam = np.ldexp(lam, exp)
     if not (np.all(np.isfinite(lam)) and (slope is None or np.all(np.isfinite(slope)))):
-        raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
-    return lam, slope
-
-
-def _eigenvalue_slopes(params: RibbonParams, a_values, indices):
-    """(lambda, dlambda/da) of eigenvalue indices[r] of J_a, a = a_values[r] > 0.
-
-    The slope comes from the eigenvector of the same solve: all eigenpairs
-    of a dense stack (numpy.linalg.eigh, p <= _STACK_MAX_P), else the one
-    selected pair by dstebz and dstein (_bisect).  Raises NumericalError on
-    a non-finite result or a failed solve.
-    """
-    if params.p > _STACK_MAX_P:
-        return _bisect(params, a_values, indices, slopes=True)
-    off = _offdiagonals(params.p, a_values)
-    lam, slope = np.empty(off.shape[0]), np.empty(off.shape[0])
-    for r, (w, V) in _solve_stacks(np.linalg.eigh, params.v, off):
-        rows = np.arange(w.shape[0])
-        lam[r] = w[rows, indices[r]]
-        slope[r] = _slope(V[rows, :, indices[r]])
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(slope))):
         raise NumericalError("non-finite eigenvalue: matrix entries beyond float64 range")
     return lam, slope
 

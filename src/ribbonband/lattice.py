@@ -156,13 +156,18 @@ def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> floa
     Exactly 0.0 when the flat-band criterion holds (the computation stays in
     small integers plus bitwise-identical potential products); strictly
     positive when some odd entry differs from v_1.  Raises ConfigError when
-    psi and params disagree on N or when L < 2 (build_ribbon's open-section
-    check, made before psi is placed), CriterionViolation when the
+    psi and params disagree on N, when N > 56 (the coefficient C(N, N//2)
+    passes 2^53 and is no longer exact in float64; checked before the
+    section is built) or when L < 2 (build_ribbon's open-section check,
+    made before psi is placed), CriterionViolation when the
     support of psi leaves the open section 0..L-1, and NumericalError when
     the residual overflows float64 (a potential near the float64 limit).
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")
+    if math.comb(psi.N, psi.N // 2) > 2**53:
+        raise ConfigError(f"N={psi.N}: the flat-band coefficient C(N, N//2) exceeds "
+                          f"2^53, beyond exact float64 integers (N <= 56)")
     H = build_ribbon(params, L, OPEN)
     state = psi.to_state(L).ravel()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -32,7 +32,9 @@ from ribbonband import (
     weak_field_center,
     weak_field_edges,
 )
+from ribbonband.bands import default_grid
 from ribbonband.cli import check_weak_center_order, strong_field_edges
+from ribbonband.lattice import MAX_N
 
 
 def _weak_field_center_telescoped(a: float, params: RibbonParams) -> float:
@@ -130,6 +132,36 @@ def test_weak_field_edges_prediction_object():
     # F is monotone between v1 and v3 here
     assert lo == pytest.approx(1e-3, rel=1e-10)
     assert hi == pytest.approx(3e-3 * 4 / 5 + 1e-3 / 5, rel=1e-10)
+
+
+def test_weak_center_rescaling_changes_no_bit():
+    # at N = 250 and a = 2 the denominator reaches 2^500: rescaled by powers
+    # of two, yet every value equals plain Horner, which is still finite
+    rng = np.random.default_rng(250)
+    params = RibbonParams(250, rng.uniform(-1e-3, 1e-3, 501))
+    z = default_grid() ** 2
+    num = den = 0.0
+    for vk in params.v[0::2][::-1]:
+        num, den = num * z + vk, den * z + 1.0
+    assert den[-1] > 2.0**500
+    assert weak_field_center(default_grid(), params).tobytes() == (num / den).tobytes()
+
+
+@pytest.mark.parametrize("N", [300, MAX_N])
+def test_weak_field_is_finite_on_wide_ribbons(N):
+    # the a = 2 weights 4^k pass float64 range from N = 512: the center
+    # still equals the average with the exact weights 4^(k - N)
+    rng = np.random.default_rng(N)
+    params = RibbonParams(N, rng.uniform(-1e-3, 1e-3, 2 * N + 1))
+    w = np.ldexp(1.0, 2 * np.arange(-N, 1))
+    average = math.fsum(w * params.v[0::2]) / math.fsum(w)
+    assert weak_field_center(2.0, params) == pytest.approx(average, rel=0, abs=1e-18)
+    lo, hi = weak_field_edges(params)
+    assert lo <= weak_field_center(2.0, params) <= hi
+    assert weak_field_edges(RibbonParams(N)) == (0.0, 0.0)
+    assert all(map(math.isfinite, weak_field_edges(RibbonParams(N, 1e8 * params.v))))
+    with pytest.raises(NumericalError):  # a truly overflowing potential
+        weak_field_edges(RibbonParams(N, np.full(2 * N + 1, 1e308)))
 
 
 # ---------------------------------------------------------------------------

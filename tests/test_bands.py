@@ -25,7 +25,7 @@ from ribbonband import (
 )
 from ribbonband._optimize import refine_extremum
 from ribbonband.bands import _report_from_intervals
-from ribbonband.jacobi import _eigenvalue_slopes
+from ribbonband.jacobi import _selected
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,8 +124,8 @@ def test_band_interval_interior_minimum_is_refined():
     # test this: refine band 1 from 11 points as band_interval does)
     params, grid, band = RibbonParams(N=2), np.linspace(0, 2, 11), np.array([3])
     values = eigenvalues_batch(params, grid)[:, band]
-    _, fx = refine_extremum(lambda cols, a: _eigenvalue_slopes(params, a, band[cols]),
-                            grid, values)
+    _, fx = refine_extremum(
+        lambda cols, a: _selected(params, a, band[cols], slopes=True), grid, values)
     assert fx[0, 0] == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
 
 
@@ -484,8 +484,8 @@ def _full_route_interval(params, k):
     """band_interval(k) refined from the sliced full rows of eigenvalues_batch."""
     grid, band = default_grid(), np.array([k + params.N])
     values = eigenvalues_batch(params, grid)[:, band]
-    _, fx = refine_extremum(lambda cols, a: _eigenvalue_slopes(params, a, band[cols]),
-                            grid, values)
+    _, fx = refine_extremum(
+        lambda cols, a: _selected(params, a, band[cols], slopes=True), grid, values)
     return float(fx[0, 0]), float(fx[1, 0])
 
 

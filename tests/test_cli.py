@@ -336,6 +336,19 @@ def test_flatband_section_too_short_exits_2(L, capsys):
     assert f"L={L} too small for boundary=open" in err
 
 
+def test_flatband_widest_exact_ribbon(capsys):
+    # C(56, 28) < 2^53 < C(57, 28): up to N = 56 every coefficient is an
+    # exact float64 integer and the residual is exactly 0; from N = 57 the
+    # command refuses instead of printing a rounded residual
+    code, out, _ = run(["flatband", "--N", "56", "--L", "58", "--format", "json"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["residual"] == 0.0
+    code, out, err = run(["flatband", "--N", "57", "--L", "58"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "2^53" in err
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------

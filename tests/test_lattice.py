@@ -13,6 +13,7 @@ from ribbonband import (
     build_ribbon,
     verify_flat_eigen,
 )
+from ribbonband.lattice import MAX_N
 
 
 def test_params_defaults_and_validation():
@@ -98,6 +99,21 @@ def test_verify_flat_eigen_is_exactly_zero():
         params = RibbonParams(N=N, v=v)
         resid = verify_flat_eigen(params, FlatBandVector(N, N + 1), 2 * N + 4)
         assert resid == 0.0
+
+
+@pytest.mark.parametrize("N, exact", [(56, True), (57, False), (MAX_N, False)])
+def test_verify_flat_eigen_refuses_inexact_coefficients(N, exact):
+    # the residual is exactly 0 only while C(N, N//2) <= 2^53; beyond, it
+    # is refused before the section is built
+    rng = np.random.default_rng(N)
+    v = rng.uniform(-2, 2, 2 * N + 1)
+    v[0::2] = v[0]
+    params, psi = RibbonParams(N=N, v=v), FlatBandVector(N, N)
+    if exact:
+        assert verify_flat_eigen(params, psi, N + 2) == 0.0
+    else:
+        with pytest.raises(ConfigError, match="2\\^53"):
+            verify_flat_eigen(params, psi, N + 2)
 
 
 def test_verify_flat_eigen_flags_violation_with_its_size():
