@@ -12,9 +12,9 @@ with Dirichlet rows f_{n,0} = f_{n,p+1} = 0.  The transverse potential
 v_k is constant along the axis.  Only adjacency matters here; no vertex
 coordinates are materialized.
 
-This module owns the ribbon parameters, finite sections of H, and the
-compactly supported eigenvectors of the flat band (zero-width band at
-v_1, present exactly when all odd potential entries equal v_1).
+This module owns the ribbon parameters, its bond list `_bonds`, finite sections
+of H, and the compactly supported eigenvectors of the flat band (zero-width
+band at v_1, present exactly when all odd potential entries equal v_1).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import ConfigError, CriterionViolation, NumericalError
 
 DENSE_SIZE_CAP = 10_000  # rows; finite sections are oracle-scale only
 MAX_N = 4096  # widest ribbon, p = 8193; a wider one is refused before allocation
+_FLAT_MAX_N = 512  # widest flat-band vector: 12.8 MB of JSON, and work and size grow as N^3
 
 PERIODIC = "periodic"
 OPEN = "open"
@@ -70,6 +71,18 @@ class RibbonParams:
         return 2 * self.N + 1
 
 
+def _bonds(N: int, L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit bonds (i, j) of L cells, site (n, k) at n*p + (k-1): the chain (k, k+1),
+    then (n, 2k+1) ~ (n-1, 2k+2), wrapped mod L (periodic) or dropped at n = 0."""
+    p = 2 * N + 1
+    n = np.arange(L)[:, None]
+    chain = (n * p + np.arange(p - 1)).ravel()
+    m = n if boundary == PERIODIC else n[1:]
+    cross = (m * p + 2 * np.arange(N)).ravel()
+    cross_prev = ((m - 1) % L * p + 2 * np.arange(N) + 1).ravel()
+    return np.concatenate([chain, cross]), np.concatenate([chain + 1, cross_prev])
+
+
 def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
     """Assemble the (L*p) x (L*p) real-space Hamiltonian of a finite section.
 
@@ -82,27 +95,17 @@ def build_ribbon(params: RibbonParams, L: int, boundary: str = PERIODIC):
     DENSE_SIZE_CAP rows.
     """
     import scipy.sparse as sp  # here, not at the top: keeps scipy out of CLI start-up
-    p = params.p
     if boundary not in (PERIODIC, OPEN):
         raise ConfigError(f"unknown boundary {boundary!r}")
     if L < 2 or (boundary == PERIODIC and L < 3):
         raise ConfigError(f"L={L} too small for boundary={boundary}")
-    size = L * p
+    size = L * params.p
     if size > DENSE_SIZE_CAP:
         raise ConfigError(
             f"section size {size} exceeds the dense cap {DENSE_SIZE_CAP}"
         )
-
-    n = np.arange(L)[:, None]
+    i, j = _bonds(params.N, L, boundary)
     diag = np.arange(size)
-    # intra-cell chain edges (k, k+1)
-    chain = (n * p + np.arange(p - 1)).ravel()
-    # cross edges (n, 2k+1) ~ (n-1, 2k+2), k = 0..N-1; open sections drop n = 0
-    m = n if boundary == PERIODIC else n[1:]
-    cross = (m * p + 2 * np.arange(params.N)).ravel()
-    cross_prev = ((m - 1) % L * p + 2 * np.arange(params.N) + 1).ravel()
-    i = np.concatenate([chain, cross])
-    j = np.concatenate([chain + 1, cross_prev])
     rows = np.concatenate([diag, i, j])
     cols = np.concatenate([diag, j, i])
     vals = np.concatenate([np.tile(params.v, L), np.ones(2 * i.size)])
@@ -134,44 +137,40 @@ class FlatBandVector:
         sign = -1 if k % 2 else 1
         return [(self.m - j, sign * math.comb(k, j)) for j in range(k + 1)]
 
-    def to_state(self, L: int) -> np.ndarray:
-        """Materialize on an open section of L cells as an (L, p) array,
-        values[n, k-1] = f_{n,k}; the support [m-N, m] must fit inside
-        0..L-1."""
-        if self.m - self.N < 0 or self.m >= L:
-            raise CriterionViolation(
-                f"support [{self.m - self.N}, {self.m}] leaves the open "
-                f"section 0..{L - 1}"
-            )
-        vals = np.zeros((L, 2 * self.N + 1))
-        for k in range(self.N + 1):
-            for n, c in self.row_entries(k):
-                vals[n, 2 * k] = float(c)
-        return vals
-
 
 def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> float:
     """Max-norm residual of (H - v_1) psi on an open section of L cells.
 
-    Exactly 0.0 when the flat-band criterion holds (the computation stays in
-    small integers plus bitwise-identical potential products); strictly
-    positive when some odd entry differs from v_1.  Raises ConfigError when
-    psi and params disagree on N, when N > 56 (the coefficient C(N, N//2)
-    passes 2^53 and is no longer exact in float64; checked before the
-    section is built) or when L < 2 (build_ribbon's open-section check,
-    made before psi is placed), CriterionViolation when the
-    support of psi leaves the open section 0..L-1, and NumericalError when
-    the residual overflows float64 (a potential near the float64 limit).
+    The bonds of psi's support and its neighbours are summed in Python
+    integers (work does not depend on L), the diagonal as (v_k - v_1) * c
+    on the sites psi occupies: exactly 0.0 when the flat-band criterion
+    holds, at any magnitude of v, and positive when an odd entry differs
+    from v_1.  Raises ConfigError when psi and params disagree on N, when
+    N > 512 (before any work) or when L < 2, CriterionViolation when the
+    support [m-N, m] leaves 0..L-1, and NumericalError when the residual
+    overflows float64.
     """
     if psi.N != params.N:
         raise ConfigError(f"psi has N={psi.N}, params have N={params.N}")
-    if math.comb(psi.N, psi.N // 2) > 2**53:
-        raise ConfigError(f"N={psi.N}: the flat-band coefficient C(N, N//2) exceeds "
-                          f"2^53, beyond exact float64 integers (N <= 56)")
-    H = build_ribbon(params, L, OPEN)
-    state = psi.to_state(L).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = float(np.max(np.abs(H @ state - params.v[0] * state)))
+    N, m, p = psi.N, psi.m, params.p
+    if N > _FLAT_MAX_N:
+        raise ConfigError(f"N={N}: the flat-band residual serves N <= {_FLAT_MAX_N}")
+    if L < 2:
+        raise ConfigError(f"L={L} too small for boundary={OPEN}")
+    if m - N < 0 or m >= L:
+        raise CriterionViolation(
+            f"support [{m - N}, {m}] leaves the open section 0..{L - 1}"
+        )
+    lo, v = max(m - N - 1, 0), params.v.tolist()
+    cells = min(m + 1, L - 1) - lo + 1  # cells m-N-1..m+1 inside 0..L-1
+    f, r = np.zeros((2, cells * p), dtype=object)  # psi; (H - v_1) psi from its diagonal
+    for k in range(N + 1):
+        for n, c in psi.row_entries(k):
+            f[(n - lo) * p + 2 * k] = c
+            r[(n - lo) * p + 2 * k] = (v[2 * k] - v[0]) * c
+    i, j = _bonds(N, cells, OPEN)
+    np.add.at(r, np.r_[i, j], f[np.r_[j, i]])  # each bond both ways, exact integers
+    resid = float(max(map(abs, r)))
     if not math.isfinite(resid):
         raise NumericalError("flat-band residual beyond float64 range")
     return resid

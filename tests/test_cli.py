@@ -337,16 +337,34 @@ def test_flatband_section_too_short_exits_2(L, capsys):
 
 
 def test_flatband_widest_exact_ribbon(capsys):
-    # C(56, 28) < 2^53 < C(57, 28): up to N = 56 every coefficient is an
-    # exact float64 integer and the residual is exactly 0; from N = 57 the
-    # command refuses instead of printing a rounded residual
-    code, out, _ = run(["flatband", "--N", "56", "--L", "58", "--format", "json"],
+    # the residual is summed in integers, so it stays exactly 0 beyond
+    # N = 56, where C(N, N/2) passes 2^53; the one bound is the size cap
+    # N <= 512, refused up to MAX_N as a config error
+    code, out, _ = run(["flatband", "--N", "57", "--L", "58", "--format", "json"],
                        capsys)
     assert code == 0
     assert json.loads(out)["residual"] == 0.0
-    code, out, err = run(["flatband", "--N", "57", "--L", "58"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("config error:") and "2^53" in err
+    for N in ("513", "4096"):
+        code, out, err = run(["flatband", "--N", N], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: N={N}: the flat-band residual serves N <= 512\n"
+
+
+def test_flatband_default_section_beyond_the_dense_cap(capsys):
+    # the default L = 2N + 4 gives 10098 rows at N = 49; the residual builds
+    # no section, so no dense-section cap applies
+    code, out, _ = run(["flatband", "--N", "49", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["residual"] == 0.0
+
+
+def test_flatband_long_section(capsys):
+    # only the cells around the support are visited, whatever L is
+    code, out, _ = run(["flatband", "--N", "2", "--potential", "0.5,0,0.5,0,0.5",
+                        "--L", "1000000000", "--format", "json"], capsys)
+    assert code == 0
+    res = json.loads(out)
+    assert res["L"] == 1_000_000_000 and res["residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +697,14 @@ def test_weak_field_overflow_exits_3_without_warning():
                               "--potential=1e308,1e308,1e308"])
 
 
-def test_flatband_residual_overflow_exits_3_without_warning():
-    # the criterion holds, but (H - v1) psi overflows: the residual is
-    # checked in verify_flat_eigen, not left to fmt15
+def test_flatband_near_float_limit_exits_0_with_zero_residual():
+    # the criterion holds; the diagonal term is (v_k - v_1) * c, difference
+    # first, so odd sites at 1e308 leave an exact 0 and nothing overflows
     proc = _run_process(["flatband", "--N", "2", "--potential",
-                         "1e308,0,1e308,5,1e308"])
-    assert proc.returncode == 3
+                         "1e308,0,1e308,5,1e308", "--format", "json"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["residual"] == 0.0
     assert "Warning" not in proc.stderr
-    assert "flat-band residual beyond float64 range" in proc.stderr
 
 
 def _no_constant(name):

@@ -1,5 +1,8 @@
 """Ribbon assembly and the compactly supported flat-band vectors."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,12 @@ from ribbonband import (
     ConfigError,
     CriterionViolation,
     FlatBandVector,
+    NumericalError,
     RibbonParams,
     build_ribbon,
     verify_flat_eigen,
 )
+from ribbonband import lattice
 from ribbonband.lattice import MAX_N
 
 
@@ -79,15 +84,15 @@ def test_flat_band_vector_rows_are_signed_binomials():
 
 
 def test_flat_band_vector_even_rows_vanish():
-    state = FlatBandVector(2, 2).to_state(6)
-    assert state.shape == (6, 5)
-    # 0-based columns 1, 3 are the even sites of the cross-section
-    assert np.all(state[:, 1] == 0)
-    assert np.all(state[:, 3] == 0)
-    # odd-site support sits in cells m-N..m = 0..2
-    assert np.all(state[3:] == 0)
-    assert np.any(state[0] != 0)
-    assert np.any(state[2] != 0)
+    psi = FlatBandVector(2, 2)
+    # odd-site support sits in cells m-N..m = 0..2, and fills an open
+    # section of exactly those cells
+    positions = {n for k in range(3) for n, _ in psi.row_entries(k)}
+    assert positions == {0, 1, 2}
+    # even sites carry nothing: their potential never reaches the residual
+    params = RibbonParams(N=2, v=np.array([0.5, 1e6, 0.5, -3e7, 0.5]))
+    assert verify_flat_eigen(params, psi, 3) == 0.0
+    assert verify_flat_eigen(params, psi, 6) == 0.0
 
 
 def test_verify_flat_eigen_is_exactly_zero():
@@ -101,19 +106,76 @@ def test_verify_flat_eigen_is_exactly_zero():
         assert resid == 0.0
 
 
-@pytest.mark.parametrize("N, exact", [(56, True), (57, False), (MAX_N, False)])
-def test_verify_flat_eigen_refuses_inexact_coefficients(N, exact):
-    # the residual is exactly 0 only while C(N, N//2) <= 2^53; beyond, it
-    # is refused before the section is built
+@pytest.mark.parametrize("N, served", [(56, True), (57, True), (512, True),
+                                       (513, False), (MAX_N, False)])
+def test_verify_flat_eigen_size_cap(N, served, monkeypatch):
+    # integer sums keep the residual exactly 0 beyond C(N, N//2) > 2^53
+    # (N = 57); past the size cap N <= 512 the call is refused before any
+    # coefficient or bond is formed
     rng = np.random.default_rng(N)
     v = rng.uniform(-2, 2, 2 * N + 1)
     v[0::2] = v[0]
     params, psi = RibbonParams(N=N, v=v), FlatBandVector(N, N)
-    if exact:
+    if served:
         assert verify_flat_eigen(params, psi, N + 2) == 0.0
     else:
-        with pytest.raises(ConfigError, match="2\\^53"):
+        def no_work(*args):
+            raise AssertionError("work done before the size check")
+        monkeypatch.setattr(lattice, "_bonds", no_work)
+        monkeypatch.setattr(FlatBandVector, "row_entries", no_work)
+        with pytest.raises(ConfigError, match="N <= 512"):
             verify_flat_eigen(params, psi, N + 2)
+
+
+def test_verify_flat_eigen_visits_only_the_support_window(monkeypatch):
+    # the bonds of cells m-N-1..m+1 inside 0..L-1, however long the section
+    seen, real = [], lattice._bonds
+
+    def bonds(N, L, boundary):
+        seen.append(L)
+        return real(N, L, boundary)
+
+    monkeypatch.setattr(lattice, "_bonds", bonds)
+    params = RibbonParams(N=3, v=np.array([0.5, 0, 0.5, 1, 0.5, 2, 0.5]))
+    for m, L, cells in ((3, 4, 4), (3, 10**9, 5), (500, 10**9, 6), (10**9 - 1, 10**9, 5)):
+        assert verify_flat_eigen(params, FlatBandVector(3, m), L) == 0.0
+        assert seen.pop() == cells
+
+
+def _float_residual(params, psi, L):
+    """The residual by the float route: a dense open section times the float
+    state.  Exact only while every coefficient is below 2^53."""
+    state = np.zeros((L, params.p))
+    for k in range(params.N + 1):
+        for n, c in psi.row_entries(k):
+            state[n, 2 * k] = c
+    state = state.ravel()
+    H = build_ribbon(params, L, OPEN).toarray()
+    return float(np.max(np.abs(H @ state - params.v[0] * state)))
+
+
+def test_verify_flat_eigen_matches_the_float_route():
+    rng = np.random.default_rng(26)
+    for N in range(1, 13):
+        L = 2 * N + 4
+        for _ in range(4):
+            psi = FlatBandVector(N, int(rng.integers(N, L)))
+            v = rng.uniform(-2, 2, 2 * N + 1)
+            params = RibbonParams(N=N, v=v)
+            assert verify_flat_eigen(params, psi, L) == pytest.approx(
+                _float_residual(params, psi, L), rel=1e-15, abs=0)
+            v[0::2] = v[0]
+            params = RibbonParams(N=N, v=v)
+            assert verify_flat_eigen(params, psi, L) == 0.0
+            assert _float_residual(params, psi, L) == 0.0
+            # negative control: one odd site raised by 0.1 leaves 0.1 times
+            # the largest coefficient of its row
+            k = int(rng.integers(1, N + 1))
+            v[2 * k] += 0.1
+            params = RibbonParams(N=N, v=v)
+            bump = 0.1 * math.comb(k, k // 2)
+            assert verify_flat_eigen(params, psi, L) == pytest.approx(bump, rel=1e-13)
+            assert _float_residual(params, psi, L) == pytest.approx(bump, rel=1e-13)
 
 
 def test_verify_flat_eigen_flags_violation_with_its_size():
@@ -125,12 +187,21 @@ def test_verify_flat_eigen_flags_violation_with_its_size():
     assert resid == pytest.approx(0.1, abs=1e-15)
 
 
+def test_verify_flat_eigen_overflow_is_a_numerical_error():
+    # the criterion fails and v_3 - v_1 = 2e308 leaves float64 range
+    params = RibbonParams(N=1, v=np.array([-1e308, 0.0, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="beyond float64 range"):
+            verify_flat_eigen(params, FlatBandVector(1, 1), 3)
+
+
 def test_flat_band_vector_boundary_clash():
-    psi = FlatBandVector(2, 1)  # support would spill below cell 0
+    params = RibbonParams(N=2)
     with pytest.raises(CriterionViolation):
-        psi.to_state(6)
+        verify_flat_eigen(params, FlatBandVector(2, 1), 6)  # spills below cell 0
     with pytest.raises(CriterionViolation):
-        FlatBandVector(1, 5).to_state(5)  # anchor outside
+        verify_flat_eigen(RibbonParams(N=1), FlatBandVector(1, 5), 5)  # anchor outside
 
 
 def test_flat_band_vector_checks_N_and_casts_m():
