@@ -43,7 +43,7 @@ def refine_extremum(f, grid, values):
     """
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
     n, m = values.shape
-    cols = np.tile(np.arange(m), 2)
+    cols = np.arange(2 * m) % m
     sign = np.repeat([1.0, -1.0], m)
     e = np.arange(2 * m)
     i = np.argmin(values[:, cols] * sign, axis=0)
@@ -52,8 +52,10 @@ def refine_extremum(f, grid, values):
 
     def g(own, x):
         val, slope = f(cols[own], x)
-        seen.append((own, x, sign[own] * val))
-        return sign[own] * val, sign[own] * slope
+        sg = sign[own]
+        gx = sg * val
+        seen.append((own, x, gx))
+        return gx, sg * slope
 
     lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)]
     depth = np.ceil(np.log(np.maximum(hi / _XTOL, 1.0)) / np.log(_LADDER)).astype(int)
@@ -66,29 +68,36 @@ def refine_extremum(f, grid, values):
     q = np.flatnonzero(own[1:] == own[:-1])
     q = q[_worth(x[q], x[q + 1], gx[q], gx[q + 1], dx[q], dx[q + 1], level) > 0]
     own = own[q]
-    # bracket ends (row 0 left, 1 right); S: Illinois-weighted slopes; kept: last kept end
-    X, G, D, S = (np.stack([v[q], v[q + 1]]) for v in (x, gx, dx, dx))
+    # live brackets only: B[v, end, b] holds x, f, slope and the Illinois-
+    # weighted slope (v = 0..3) at the left (end 0) and right (end 1) end of
+    # bracket b; kept[b]: the end its last step kept
+    B = np.stack((x, gx, dx, dx))[:, np.stack((q, q + 1))]
     live, kept = np.ones(q.size, dtype=bool), np.full(q.size, -1)
 
     while True:
-        live &= (X[1] - X[0] > _XTOL) & (np.abs(D).max(axis=0) * (X[1] - X[0]) >= level)
-        act = np.flatnonzero(live)
-        if not act.size:
+        width = B[0, 1] - B[0, 0]
+        live &= (width > _XTOL) & (np.abs(B[2]).max(axis=0) * width >= level)
+        if not live.all():
+            B, own, kept = B[:, :, live], own[live], kept[live]
+        if not own.size:
             break
-        L, R = X[0, act], X[1, act]
+        (L, R), (GL, GR), (DL, DR), S = B
         x = 0.5 * L + 0.5 * R
-        s = np.flatnonzero((D[0, act] < 0) & (D[1, act] > 0))
-        frac = S[0, act[s]] / (S[0, act[s]] - S[1, act[s]])
+        s = np.flatnonzero((DL < 0) & (DR > 0))
+        frac = S[0, s] / (S[0, s] - S[1, s])
         x[s] = np.clip(L[s] + (R[s] - L[s]) * frac, L[s] + _XTOL / 2, R[s] - _XTOL / 2)
-        gx, dx = g(own[act], x)
-        w1 = _worth(L, x, G[0, act], gx, D[0, act], dx, level)
-        w2 = _worth(x, R, gx, G[1, act], dx, D[1, act], level)
-        live[act] = np.maximum(w1, w2) > 0
-        stay = ((w1 > w2) | ((w1 == w2) & (G[0, act] <= G[1, act]))).astype(int) ^ 1
-        S[stay, act] *= np.where(kept[act] == stay, 0.5, 1.0)
-        for ends, new in ((X, x), (G, gx), (D, dx), (S, dx)):
-            ends[1 - stay, act] = new
-        kept[act] = stay
+        gx, dx = g(own, x)
+        # both halves (L, x) and (x, R) in one call: rows x, f, slope of their ends
+        new = np.stack((x, gx, dx))
+        lft, rgt = np.concatenate((B[:3, 0], new), 1), np.concatenate((new, B[:3, 1]), 1)
+        w = _worth(lft[0], rgt[0], lft[1], rgt[1], lft[2], rgt[2], level)
+        w1, w2 = w[:own.size], w[own.size:]
+        live = np.maximum(w1, w2) > 0
+        stay = ((w1 > w2) | ((w1 == w2) & (GL <= GR))).astype(int) ^ 1
+        b = np.arange(own.size)
+        S[stay, b] *= np.where(kept == stay, 0.5, 1.0)
+        B[:, 1 - stay, b] = (x, gx, dx, dx)
+        kept = stay
 
     own, x, gx = (np.concatenate(v) for v in zip(*seen))
     order = np.lexsort((gx, own))  # stable: a grid sample wins a tie

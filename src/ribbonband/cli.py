@@ -232,38 +232,49 @@ def _report_text(report: dict) -> str:
 CSV_CELL_CAP = 4_000_000
 
 
+# cells (the a column included) per block of CSV lines formatted at once
+_CSV_BLOCK_CELLS = 4096
+
+
 def _csv_lines(grid: np.ndarray, values: np.ndarray) -> Iterator[str]:
     """The CSV line of each grid point a = grid[i], then the cells
     values[i]: every number as fmt15 prints it, each line ending in a
     newline.  Every cell must be finite.  Both arrays are changed in place
-    (-0.0 becomes 0.0), and the lines are made one at a time, as the
-    returned iterator is read.
+    (-0.0 becomes 0.0).  The returned iterator makes the lines as it is
+    read, a block of whole lines at a time: as many rows as fit in
+    _CSV_BLOCK_CELLS cells, and at least one.
     """
     for cells in (grid, values):
         cells += 0.0  # -0.0 + 0.0 is 0.0
     # "%#.15g" is fmt15's format; it leaves a bare "." on 15-digit integers
-    template = ",".join(["%#.15g"] * (1 + values.shape[1])) + "\n"
-    return ((template % (a, *row.tolist())).replace(".,", ",").replace(".\n", "\n")
-            for a, row in zip(grid, values))
+    width = 1 + values.shape[1]
+    line = ",".join(["%#.15g"] * width) + "\n"
+    rows = max(1, _CSV_BLOCK_CELLS // width)
+
+    def blocks():
+        for s in range(0, grid.size, rows):
+            cells = np.column_stack((grid[s:s + rows], values[s:s + rows]))
+            text = (line * cells.shape[0]) % tuple(cells.ravel().tolist())
+            yield text.replace(".,", ",").replace(".\n", "\n")
+
+    return blocks()
 
 
 def cmd_bands(config: argparse.Namespace) -> tuple[Iterator[str], dict]:
     """Band CSV (one row per --grid point) plus the spectrum report, whose
     edges are seeded from default_grid() whatever --grid says: at the
     default --grid the CSV rows are that scan, and the report reuses them.
-    Returns the CSV lines, an iterator that makes them one row at a time,
+    Returns the CSV lines, an iterator that makes them a block at a time,
     and the report dict.  A table of more than CSV_CELL_CAP eigenvalue
     cells is a ConfigError, raised before the grid is allocated; a
-    non-finite cell is a NumericalError, raised before the report is made."""
+    non-finite cell is a NumericalError from the scan, raised before the
+    report is made."""
     params = _params(config)
     if config.grid * params.p > CSV_CELL_CAP:
         raise ConfigError(f"--grid {config.grid} x p = {params.p} is "
                           f"{config.grid * params.p} CSV cells, beyond {CSV_CELL_CAP}")
     grid = default_grid(config.grid)
     values = eigenvalues_batch(params, grid)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NumericalError(f"non-finite result {values[~finite][0]}")
     if config.grid == DEFAULT_GRID_POINTS:
         rep = _report_from_scan(params, values)  # before _csv_lines changes it
     else:

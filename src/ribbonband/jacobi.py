@@ -50,7 +50,7 @@ def a_of_t(t):
 
 def _offdiagonals(p: int, a_values) -> np.ndarray:
     """Off-diagonals (a, 1, a, 1, ...) of the p x p J_a, one row per a."""
-    return np.where(np.arange(p - 1) % 2 == 0, np.c_[a_values], 1.0)
+    return np.where(np.arange(p - 1) % 2 == 0, np.reshape(a_values, (-1, 1)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +150,33 @@ def _selected(params: RibbonParams, a_values, indices, slopes: bool = False):
     else None.
 
     Up to _STACK_MAX_P the value is picked from the dense stacks of
-    _solve_stacks (numpy.linalg.eigvalsh, or eigh with slopes).  Wider rows
-    compute the one selected eigenvalue: dstebz bisects it, O(p) per step,
-    and with slopes dstein adds its eigenvector.  The two do not scale
-    their input, so the matrices are first scaled by one power of two
-    (exact) to entries below 1 in magnitude; a potential near the float64
-    limit then gives the same finite values as the dense route.  Raises
-    NumericalError on a non-finite result or a failed solve.
+    _solve_stacks (numpy.linalg.eigvalsh, or eigh with slopes, where each
+    distinct a is solved once).  Wider rows compute the one selected
+    eigenvalue: dstebz bisects it, O(p) per step, and with slopes dstein
+    adds its eigenvector.  The two do not scale their input, so the
+    matrices are first scaled by one power of two (exact) to entries below
+    1 in magnitude; a potential near the float64 limit then gives the same
+    finite values as the dense route.  Raises NumericalError on a
+    non-finite result or a failed solve.
     """
-    off = _offdiagonals(params.p, a_values)
-    lam, slope = np.empty(off.shape[0]), (np.empty(off.shape[0]) if slopes else None)
-    if params.p <= _STACK_MAX_P:
-        solve = np.linalg.eigh if slopes else np.linalg.eigvalsh
-        for r, result in _solve_stacks(solve, params.v, off):
-            w, V = result if slopes else (result, None)
-            rows = np.arange(w.shape[0])
-            lam[r] = w[rows, indices[r]]
-            if slopes:
-                slope[r] = _slope(V[rows, :, indices[r]])
+    p, dense = params.p, params.p <= _STACK_MAX_P
+    if dense and slopes:
+        # each stacked matrix is solved on its own, so equal rows share one
+        a_values, inverse = np.unique(a_values, return_inverse=True)
+    off = _offdiagonals(p, a_values)
+    if dense and slopes:
+        w, V = np.empty((off.shape[0], p)), np.empty((off.shape[0], p, p))
+        for r, (w_r, V_r) in _solve_stacks(np.linalg.eigh, params.v, off):
+            w[r], V[r] = w_r, V_r
+        lam, slope = w[inverse, indices], _slope(V[inverse, :, indices])
+    elif dense:
+        lam, slope = np.empty(off.shape[0]), None
+        for r, w in _solve_stacks(np.linalg.eigvalsh, params.v, off):
+            lam[r] = w[np.arange(w.shape[0]), indices[r]]
     else:
         from scipy.linalg.lapack import dstebz, dstein
 
+        lam, slope = np.empty(off.shape[0]), (np.empty(off.shape[0]) if slopes else None)
         exp = np.frexp(max(np.max(np.abs(params.v)), np.max(off, initial=0.0)))[1]
         v, off = np.ldexp(params.v, -exp), np.ldexp(off, -exp)
         for r, k in enumerate(indices):

@@ -134,8 +134,12 @@ class FlatBandVector:
         """Entries of odd row 2k+1 as (axial position, integer coefficient)."""
         if not 0 <= k <= self.N:
             raise ConfigError(f"row index k={k} outside 0..{self.N}")
-        sign = -1 if k % 2 else 1
-        return [(self.m - j, sign * math.comb(k, j)) for j in range(k + 1)]
+        c = -1 if k % 2 else 1  # (-1)^k C(k, j), one Pascal step per j
+        entries = []
+        for j in range(k + 1):
+            entries.append((self.m - j, c))
+            c = c * (k - j) // (j + 1)
+        return entries
 
 
 def verify_flat_eigen(params: RibbonParams, psi: FlatBandVector, L: int) -> float:

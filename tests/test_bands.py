@@ -23,7 +23,7 @@ from ribbonband import (
     unperturbed_eigenvalue,
     unperturbed_spectrum,
 )
-from ribbonband._optimize import refine_extremum
+from ribbonband._optimize import _LADDER, _ROUNDING, _XTOL, _worth, refine_extremum
 from ribbonband.bands import _report_from_intervals
 from ribbonband.jacobi import _selected
 
@@ -314,6 +314,97 @@ def _seeded_potentials():
                     v = np.round(v, 1)
                 scale = 10.0 ** rng.uniform(-4.0, math.log10(30.0))
                 yield RibbonParams(N=N, v=scale * v)
+
+
+def _refine_extremum_reference(f, grid, values):
+    """refine_extremum as it was before its bracket loop kept only the live
+    brackets: every bracket's ends in four (2, q) arrays, a live mask, and
+    one _worth call per half.  The loop now must match it bit for bit."""
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    n, m = values.shape
+    cols = np.tile(np.arange(m), 2)
+    sign = np.repeat([1.0, -1.0], m)
+    e = np.arange(2 * m)
+    i = np.argmin(values[:, cols] * sign, axis=0)
+    level = _ROUNDING * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    seen = [(e, grid[i], sign * values[i, cols])]
+
+    def g(own, x):
+        val, slope = f(cols[own], x)
+        seen.append((own, x, sign[own] * val))
+        return sign[own] * val, sign[own] * slope
+
+    lo, hi = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)]
+    depth = np.ceil(np.log(np.maximum(hi / _XTOL, 1.0)) / np.log(_LADDER)).astype(int)
+    count = np.where(lo == 0.0, depth + 1, 3)
+    own = np.repeat(e, count)
+    k = np.arange(own.size) - np.repeat(np.cumsum(count) - count, count)
+    x = np.where(lo[own] == 0.0, hi[own] * _LADDER ** (k - depth[own]),
+                 lo[own] + 0.5 * k * (hi[own] - lo[own]))
+    gx, dx = g(own, x)
+    q = np.flatnonzero(own[1:] == own[:-1])
+    q = q[_worth(x[q], x[q + 1], gx[q], gx[q + 1], dx[q], dx[q + 1], level) > 0]
+    own = own[q]
+    X, G, D, S = (np.stack([v[q], v[q + 1]]) for v in (x, gx, dx, dx))
+    live, kept = np.ones(q.size, dtype=bool), np.full(q.size, -1)
+    while True:
+        live &= (X[1] - X[0] > _XTOL) & (np.abs(D).max(axis=0) * (X[1] - X[0]) >= level)
+        act = np.flatnonzero(live)
+        if not act.size:
+            break
+        L, R = X[0, act], X[1, act]
+        x = 0.5 * L + 0.5 * R
+        s = np.flatnonzero((D[0, act] < 0) & (D[1, act] > 0))
+        frac = S[0, act[s]] / (S[0, act[s]] - S[1, act[s]])
+        x[s] = np.clip(L[s] + (R[s] - L[s]) * frac, L[s] + _XTOL / 2, R[s] - _XTOL / 2)
+        gx, dx = g(own[act], x)
+        w1 = _worth(L, x, G[0, act], gx, D[0, act], dx, level)
+        w2 = _worth(x, R, gx, G[1, act], dx, D[1, act], level)
+        live[act] = np.maximum(w1, w2) > 0
+        stay = ((w1 > w2) | ((w1 == w2) & (G[0, act] <= G[1, act]))).astype(int) ^ 1
+        S[stay, act] *= np.where(kept[act] == stay, 0.5, 1.0)
+        for ends, new in ((X, x), (G, gx), (D, dx), (S, dx)):
+            ends[1 - stay, act] = new
+        kept[act] = stay
+    own, x, gx = (np.concatenate(v) for v in zip(*seen))
+    order = np.lexsort((gx, own))
+    pick = order[np.searchsorted(own[order], e)]
+    return x[pick].reshape(2, m), (sign * gx[pick]).reshape(2, m)
+
+
+def _same_refinement(f, grid, values):
+    """refine_extremum and the reference give the same probes, x and fx,
+    bit for bit."""
+    probes = [], []
+    results = []
+    for calls, refine in zip(probes, (refine_extremum, _refine_extremum_reference)):
+        def logged(cols, a, calls=calls):
+            calls.append((cols.tobytes(), a.tobytes()))
+            return f(cols, a)
+
+        results.append([r.tobytes() for r in refine(logged, grid, values)])
+    assert probes[0] == probes[1]
+    assert results[0] == results[1]
+
+
+def test_refine_extremum_matches_reference_on_seeded_potentials():
+    grid = default_grid()
+    for params in _seeded_potentials():
+        band = np.arange(params.p)
+        _same_refinement(lambda cols, a: _selected(params, a, band[cols], slopes=True),
+                         grid, eigenvalues_batch(params, grid))
+
+
+def test_refine_extremum_matches_reference_on_analytic_columns():
+    funcs, _, _ = _analytic_columns()
+
+    def f(cols, x):
+        vals = np.array([funcs[c][0](xi) for c, xi in zip(cols, x)])
+        return vals, np.array([funcs[c][1](xi) for c, xi in zip(cols, x)])
+
+    for points in (41, 401):
+        grid = np.linspace(0.0, 2.0, points)
+        _same_refinement(f, grid, np.column_stack([fv(grid) for fv, _ in funcs]))
 
 
 def test_report_edges_at_least_as_extreme_as_golden_reference():

@@ -22,6 +22,7 @@ from ribbonband import (
 )
 from ribbonband.cli import (
     ORDER_MIN,
+    _CSV_BLOCK_CELLS,
     _csv_lines,
     _json_text,
     _report_dict,
@@ -108,6 +109,42 @@ def test_csv_lines_drop_only_the_bare_point():
     assert _csv_row([123456789012345.0, 99999999999999.95, -0.0]) == (
         "123456789012345,100000000000000,0.00000000000000\n")
     assert _csv_row([1.5, 123456789012345.0]) == "1.50000000000000,123456789012345\n"
+
+
+def _csv_lines_per_row(grid, values):
+    """The CSV text made a row at a time: one %-template per line."""
+    line = ",".join(["%#.15g"] * (1 + values.shape[1])) + "\n"
+    return "".join((line % (a + 0.0, *(row + 0.0).tolist()))
+                   .replace(".,", ",").replace(".\n", "\n")
+                   for a, row in zip(grid, values))
+
+
+@pytest.mark.parametrize("p", [3, 5, 4097])
+def test_csv_lines_in_blocks_equal_the_per_row_template(p):
+    # rows per block: 1024 at p = 3, 682 at p = 5 (a partial last block),
+    # one at p = 4097 (a row wider than a block)
+    rows = max(1, _CSV_BLOCK_CELLS // (p + 1))
+    n = 2 * rows + 3 if p < 100 else 4
+    rng = np.random.default_rng(p)
+    grid = np.linspace(0.0, 2.0, n)
+    values = rng.uniform(-3.0, 3.0, (n, p))
+    for first in (0, rows, 2 * rows):  # each block's first row
+        values[first, -1] = -123456789012345.0
+    for last in (rows - 1, 2 * rows - 1, n - 1):  # each block's last row
+        values[last, :3] = (-0.0, 123456789012345.0, -99999999999999.95)
+        values[last, -1] = 99999999999999.95
+    grid[rows - 1] = -0.0
+    expect = _csv_lines_per_row(grid, values)
+    g, v = grid.copy(), values.copy()
+    blocks = list(_csv_lines(g, v))
+    assert len(blocks) == -(-n // rows)
+    assert all(b.endswith("\n") for b in blocks)
+    assert "".join(blocks) == expect
+    assert expect.split("\n")[rows - 1].startswith(
+        "0.00000000000000,0.00000000000000,123456789012345,")
+    assert expect.split("\n")[rows - 1].endswith(",100000000000000")
+    np.testing.assert_array_equal(v, values)  # changed in place: -0.0 to 0.0 only
+    assert not np.signbit(v[rows - 1, 0]) and not np.signbit(g[rows - 1])
 
 
 def test_resolve_potential_named_forms():
@@ -240,18 +277,22 @@ def test_bands_report_shares_the_default_grid_scan(points, report_scans,
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_bands_non_finite_cell_exits_3(bad, monkeypatch, capsys):
-    import ribbonband.cli as cli_mod
+    # the scan's kernel owns the finiteness check: spoil one cell of its solve
+    import ribbonband.jacobi as jacobi_mod
 
-    def spoiled(params, a_values):
-        values = eigenvalues_batch(params, a_values)
-        values[len(a_values) // 2, -1] = bad
-        return values
+    solve_stacks = jacobi_mod._solve_stacks
 
-    monkeypatch.setattr(cli_mod, "eigenvalues_batch", spoiled)
+    def spoiled(solve, diag, off):
+        for rows, w in solve_stacks(solve, diag, off):
+            w[w.shape[0] // 2, -1] = bad
+            yield rows, w
+
+    monkeypatch.setattr(jacobi_mod, "_solve_stacks", spoiled)
     code, out, err = run(["bands", "--N", "2"], capsys)
     assert code == 3
     assert out == ""
-    assert err.splitlines() == [f"numerical error: non-finite result {bad}"]
+    assert err.splitlines() == [
+        "numerical error: non-finite eigenvalue: matrix entries beyond float64 range"]
 
 
 def test_bands_json_reports_flat_band_exactly(tmp_path, capsys):

@@ -29,9 +29,14 @@ def test_cli_outputs_match_the_golden_corpus(tmp_path, monkeypatch):
     (lambda out: out.replace("0.25", "0.2500000000001", 1), None),  # within 1e-13
     (lambda out: out.replace("k=+1", "k=+2", 1), "text changed"),
     (lambda out: out, None),
-], ids=["number-moved", "number-within-tolerance", "label-changed", "unchanged"])
+    # Python 3.12's argparse wording: the choices unquoted
+    (lambda out: out.replace("'csv', 'json'", "csv, json"), None),
+    (lambda out: out.replace("'xml'", "xml"), "text changed"),
+], ids=["number-moved", "number-within-tolerance", "label-changed", "unchanged",
+        "choices-unquoted", "quotes-dropped-outside-choices"])
 def test_compare_reports_what_moved(edit, expect):
-    case = {"exit": 0, "stdout": "band k=+1: [0.25, 1.5e-3]\n", "stderr": "",
+    case = {"exit": 0, "stdout": "band k=+1: [0.25, 1.5e-3]\n"
+            "invalid choice: 'xml' (choose from 'csv', 'json')\n", "stderr": "",
             "scale": 1.0}
     rerun = {**case, "stdout": edit(case["stdout"])}
     moved = compare(case, rerun)

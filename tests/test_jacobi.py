@@ -22,7 +22,7 @@ from ribbonband import (
     sin_node,
     unperturbed_eigenvalue,
 )
-from ribbonband.jacobi import _offdiagonals, _tridiagonal_stack
+from ribbonband.jacobi import _offdiagonals, _selected, _tridiagonal_stack
 
 
 def _dense(v, off):
@@ -138,6 +138,40 @@ def test_eigenvalues_batch_rows_match_single_solves_bitwise():
         for r in range(6):
             single = eigenvalues_batch(params, [a[r]])[0]
             np.testing.assert_array_equal(shared[r], single)
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+def test_selected_repeated_a_match_single_solves_bitwise(slopes, monkeypatch):
+    # p = 3..11, the dense route: rows that repeat an a, at other or equal
+    # indices, give bit for bit what each row solved alone gives; with
+    # slopes every distinct a is solved once
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        solved.append(M.shape[0])
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rng = np.random.default_rng(11)
+    for N in range(1, 6):
+        params = RibbonParams(N=N, v=rng.uniform(-1.0, 1.0, 2 * N + 1))
+        a = np.array([0.3, 0.0, 1.7, 0.3, 2.0, 0.3, 0.0, 1.7, 1.1, 0.3])
+        if N == 5:  # 900 distinct a over two dense stacks of 541 matrices
+            a = rng.permutation(np.repeat(np.linspace(0.0, 2.0, 900), 2))
+        idx = rng.integers(0, params.p, a.size)
+        idx[3] = idx[0]
+        solved.clear()
+        lam, slope = _selected(params, a, idx, slopes=slopes)
+        if slopes:
+            assert sum(solved) == np.unique(a).size
+        for r in range(a.size):
+            lam1, slope1 = _selected(params, a[r:r + 1], idx[r:r + 1], slopes=slopes)
+            assert lam[r:r + 1].tobytes() == lam1.tobytes()
+            if slopes:
+                assert slope[r:r + 1].tobytes() == slope1.tobytes()
+            else:
+                assert slope is slope1 is None
 
 
 @settings(max_examples=40, deadline=None)

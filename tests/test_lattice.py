@@ -83,6 +83,14 @@ def test_flat_band_vector_rows_are_signed_binomials():
     assert psi.row_entries(2) == [(3, 1), (2, 2), (1, 1)]
 
 
+@pytest.mark.parametrize("k", [0, 1, 57, 512])
+def test_flat_band_vector_rows_equal_math_comb(k):
+    # the Pascal-step rows, past 2^53 from k = 57, are the exact binomials
+    psi = FlatBandVector(512, 600)
+    sign = -1 if k % 2 else 1
+    assert psi.row_entries(k) == [(600 - j, sign * math.comb(k, j)) for j in range(k + 1)]
+
+
 def test_flat_band_vector_even_rows_vanish():
     psi = FlatBandVector(2, 2)
     # odd-site support sits in cells m-N..m = 0..2, and fills an open
